@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping, Tuple
 
-from .freegroup import IDENTITY, Word, concat
+from .freegroup import Word, concat
 
 ARC_SYMBOLS = ("Ce", "Co_hat", "v_hat", "s0")
 
@@ -181,15 +181,6 @@ def crossing_duals(rho: int, beta: int) -> Tuple[str, ...]:
     return tuple(dual for dual, _ in _crossing_events(rho, beta))
 
 
-def dual_kinds(beta: int) -> Tuple[str, ...]:
-    """Closed form for the duals of the paired-sequence entries:
-    alternating, first in d_o for beta > 0 and in d_e for beta < 0."""
-    tau = abs(beta)
-    first = "d_o" if beta > 0 else "d_e"
-    second = "d_e" if beta > 0 else "d_o"
-    return tuple(first if i % 2 == 0 else second for i in range(2 * tau))
-
-
 def alternating(seq: PairedUnitSequence, x: Word, y: Word) -> Word:
     """x^{v_1} y^{v_2} ... x^{v_{2 tau - 1}} y^{v_{2 tau}}, freely reduced."""
     parts = []
@@ -226,7 +217,3 @@ def arc_word(coord: ArcCoordinate, images: Mapping[str, Word]) -> Word:
     else:
         middle = interpolating(ext, ce, co, vh)
     return concat(ce ** coord.lam, middle, co ** coord.mu, s0)
-
-
-def identity_images() -> dict[str, Word]:
-    return {s: IDENTITY for s in ARC_SYMBOLS}

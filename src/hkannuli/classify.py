@@ -88,7 +88,7 @@ def non_type41_window(params: TypeKParams) -> Tuple[int, ...]:
     |mu' - lambda'| <= 1.
     """
     if params.beta < 0:
-        params, _ = boundary.normalize_negative_beta(params, check_range=0)
+        params, _ = boundary.normalize_negative_beta(params)
     window: set[int] = set()
     q, delta, lam, mu = params.q, params.delta, params.lam, params.mu
     if params.beta > 0:

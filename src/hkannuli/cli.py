@@ -15,102 +15,53 @@ from typing import Optional, Sequence
 
 from . import arcs, boundary, classify, jsjgraph, tangle
 from .boundary import ParamError
-from .classify import ExternalFactError
 from .freegroup import (are_conjugate, format_word, is_power_of_primitive,
                         is_primitive, parse_word)
 
-
-class CliError(Exception):
-    """Validation failure: reported on stderr with exit code 1."""
-
-
-def _report(command: str, inputs: dict, result: dict,
-            warnings: Optional[list[str]] = None) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "warnings": warnings or [],
-    }
-
-
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        for warning in report["warnings"]:
-            sys.stdout.write(f"warning: {warning}\n")
+# Each handler returns (inputs, result, text lines, warnings); ``run``
+# builds the report from them and writes it as JSON or as the lines.
 
 
 def _params_from_args(args: argparse.Namespace) -> boundary.TypeKParams:
-    try:
-        return boundary.validate_params(args.p, args.q, args.delta, args.rho,
-                                        args.beta, getattr(args, "lambda"), args.mu)
-    except ParamError as exc:
-        raise CliError("invalid parameters: " + "; ".join(exc.violations)) from exc
+    return boundary.validate_params(args.p, args.q, args.delta, args.rho,
+                                    args.beta, getattr(args, "lambda"), args.mu)
 
 
-def _add_typek_arguments(parser: argparse.ArgumentParser) -> None:
-    for flag in ("--p", "--q", "--delta", "--rho", "--beta", "--lambda", "--mu"):
-        parser.add_argument(flag, type=int, required=True)
-
-
-# -- subcommand handlers -----------------------------------------------------
-
-
-def _cmd_tangle_eval(args: argparse.Namespace) -> None:
+def _cmd_tangle_eval(args: argparse.Namespace):
     t = tangle.RationalTangle(tuple(args.twists))
     value = tangle.cf_eval(t, args.convention)
-    report = _report(
-        "tangle eval",
-        {"twists": list(t.twists), "convention": args.convention},
-        {"fraction": str(value),
-         "numerator": value.numerator,
-         "denominator": value.denominator,
-         "meridian_count": tangle.meridian_count(t, args.convention)},
-    )
-    _emit(report, [str(value)], args.json)
+    return ({"twists": list(t.twists), "convention": args.convention},
+            {"fraction": str(value),
+             "numerator": value.numerator,
+             "denominator": value.denominator,
+             "meridian_count": tangle.meridian_count(t, args.convention)},
+            [str(value)], [])
 
 
-def _cmd_arcs_crossings(args: argparse.Namespace) -> None:
-    try:
-        seq, ext = arcs.reference_crossings(args.rho, args.beta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_arcs_crossings(args: argparse.Namespace):
+    seq, ext = arcs.reference_crossings(args.rho, args.beta)
     kinds = arcs.crossing_duals(args.rho, args.beta)
-    report = _report(
-        "arcs crossings",
-        {"rho": args.rho, "beta": args.beta},
-        {"A": list(seq.entries),
-         "A_hat": list(ext.entries),
-         "kappa": list(ext.kappa),
-         "zeta": list(ext.zetas()),
-         "duals": list(kinds),
-         "sigma": ext.sigma},
-    )
-    lines = [
-        f"A      = {list(seq.entries)}",
-        f"A-hat  = {list(ext.entries)}",
-        f"kappa  = {list(ext.kappa)}",
-        f"zeta   = {list(ext.zetas())}",
-    ]
-    _emit(report, lines, args.json)
+    return ({"rho": args.rho, "beta": args.beta},
+            {"A": list(seq.entries),
+             "A_hat": list(ext.entries),
+             "kappa": list(ext.kappa),
+             "zeta": list(ext.zetas()),
+             "duals": list(kinds),
+             "sigma": ext.sigma},
+            [f"A      = {list(seq.entries)}",
+             f"A-hat  = {list(ext.entries)}",
+             f"kappa  = {list(ext.kappa)}",
+             f"zeta   = {list(ext.zetas())}"], [])
 
 
-def _cmd_boundary_word(args: argparse.Namespace) -> None:
+def _cmd_boundary_word(args: argparse.Namespace):
     params = _params_from_args(args)
     word = boundary.boundary_word(params, args.n)
-    report = _report(
-        "boundary word",
-        {"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
-         "beta": params.beta, "lambda": params.lam, "mu": params.mu, "n": args.n},
-        {"word": format_word(word),
-         "abelianization": list(word.abelianization())},
-    )
-    _emit(report, [format_word(word)], args.json)
+    return ({"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
+             "beta": params.beta, "lambda": params.lam, "mu": params.mu, "n": args.n},
+            {"word": format_word(word),
+             "abelianization": list(word.abelianization())},
+            [format_word(word)], [])
 
 
 def _census_payload(report: classify.CensusReport) -> dict:
@@ -131,121 +82,124 @@ def _census_payload(report: classify.CensusReport) -> dict:
     }
 
 
-def _cmd_classify_typek(args: argparse.Namespace) -> None:
-    params = _params_from_args(args)
-    try:
-        report = classify.typeK_census(params, args.range)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_classify_typek(args: argparse.Namespace):
+    report = classify.typeK_census(_params_from_args(args), args.range)
     payload = _census_payload(report)
-    lines = [
-        f"window: {list(report.window)}",
-        f"inconclusive separating n: {list(report.inconclusive)}",
-        f"certified type 4-1: {report.certified_count} of {2 * args.range + 1}",
-        f"non-certified total (incl. non-separating {report.nonseparating_type.value}): "
-        f"{report.total_non_certified}",
-    ]
-    _emit(_report("classify type-k", payload["params"] | {"range": args.range},
-                  payload), lines, args.json)
+    return (payload["params"] | {"range": args.range}, payload,
+            [f"window: {list(report.window)}",
+             f"inconclusive separating n: {list(report.inconclusive)}",
+             f"certified type 4-1: {report.certified_count} of {2 * args.range + 1}",
+             f"non-certified total (incl. non-separating "
+             f"{report.nonseparating_type.value}): {report.total_non_certified}"], [])
 
 
-def _cmd_classify_typem(args: argparse.Namespace) -> None:
+def _cmd_classify_typem(args: argparse.Namespace):
     kind = classify.classify_typeM(args.p)
-    report = _report(
-        "classify type-m", {"p": args.p},
-        {"annulus_type": kind.value,
-         "tangle_gate_integral": classify.typeM_tangle_gate(args.p)},
-    )
-    _emit(report, [kind.value], args.json)
+    return ({"p": args.p},
+            {"annulus_type": kind.value,
+             "tangle_gate_integral": classify.typeM_tangle_gate(args.p)},
+            [kind.value], [])
 
 
-def _cmd_classify_types(args: argparse.Namespace) -> None:
+def _cmd_classify_types(args: argparse.Namespace):
     fact = None if args.cv_trivial is None else args.cv_trivial == "true"
-    try:
-        first, second = classify.classify_typeS(args.p, args.q, fact)
-    except (ExternalFactError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    report = _report(
-        "classify type-s",
-        {"p": args.p, "q": args.q, "cv_trivial": args.cv_trivial},
-        {"annulus_types": [first.value, second.value]},
-    )
-    _emit(report, [f"{first.value} {second.value}"], args.json)
+    first, second = classify.classify_typeS(args.p, args.q, fact)
+    return ({"p": args.p, "q": args.q, "cv_trivial": args.cv_trivial},
+            {"annulus_types": [first.value, second.value]},
+            [f"{first.value} {second.value}"], [])
 
 
-def _cmd_classify_em(args: argparse.Namespace) -> None:
+def _cmd_classify_em(args: argparse.Namespace):
     params = classify.EmParams(args.l, args.m, args.n, args.p)
     graph = classify.em_jsj_graph(params, args.side)
     o_alpha, o_beta = classify.em_invariants(params)
-    report = _report(
-        "classify em",
-        {"l": args.l, "m": args.m, "n": args.n, "p": args.p, "side": args.side},
-        {"graph": graph.value, "o_alpha": o_alpha, "o_beta": o_beta},
-        warnings=[classify.EM_WARNING],
-    )
-    _emit(report, [graph.value], args.json)
+    return ({"l": args.l, "m": args.m, "n": args.n, "p": args.p, "side": args.side},
+            {"graph": graph.value, "o_alpha": o_alpha, "o_beta": o_beta},
+            [graph.value], [classify.EM_WARNING])
 
 
-def _cmd_word(args: argparse.Namespace) -> None:
-    try:
-        if args.word_op == "conjugate":
-            a, b = parse_word(args.words[0]), parse_word(args.words[1])
-            value = are_conjugate(a, b)
-            inputs = {"a": format_word(a), "b": format_word(b)}
-        else:
-            w = parse_word(args.words[0])
-            inputs = {"word": format_word(w)}
-            if args.word_op == "primitive":
-                value = is_primitive(w)
-            else:
-                value = is_power_of_primitive(w)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    report = _report(f"word {args.word_op}", inputs, {"value": value})
-    _emit(report, ["true" if value else "false"], args.json)
+def _cmd_word(args: argparse.Namespace):
+    words = [parse_word(text) for text in args.words]
+    if args.word_op == "conjugate":
+        inputs = {"a": format_word(words[0]), "b": format_word(words[1])}
+        value = are_conjugate(*words)
+    else:
+        inputs = {"word": format_word(words[0])}
+        query = is_primitive if args.word_op == "primitive" else is_power_of_primitive
+        value = query(words[0])
+    return inputs, {"value": value}, ["true" if value else "false"], []
 
 
-def _cmd_jsj_validate(args: argparse.Namespace) -> None:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            graph = jsjgraph.parse_graph(handle.read())
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_jsj_validate(args: argparse.Namespace):
+    with open(args.file, "r", encoding="utf-8") as handle:
+        graph = jsjgraph.parse_graph(handle.read())
     violations = jsjgraph.validate(graph)
-    report = _report(
-        "jsj validate", {"file": args.file},
-        {"violations": [{"rule": v.rule, "lemma": v.lemma, "subject": v.subject}
-                        for v in violations]},
-        warnings=jsjgraph.realizability_warnings(graph),
-    )
-    lines = ([f"{v.rule}: {v.subject} ({v.lemma})" for v in violations]
-             or ["no violations"])
-    _emit(report, lines, args.json)
-    if violations:
-        raise SystemExit(1)
+    return ({"file": args.file},
+            {"violations": [{"rule": v.rule, "lemma": v.lemma, "subject": v.subject}
+                            for v in violations]},
+            [f"{v.rule}: {v.subject} ({v.lemma})" for v in violations]
+            or ["no violations"],
+            jsjgraph.realizability_warnings(graph))
 
 
-def _cmd_example_five_two(args: argparse.Namespace) -> None:
-    try:
-        report = classify.five_two_report(span=args.range)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_example_five_two(args: argparse.Namespace):
+    report = classify.five_two_report(span=args.range)
+    known = sorted(classify.FIVE_TWO_KNOWN_TYPES.items())
     payload = _census_payload(report)
-    payload["known_types"] = {str(n): t.value
-                              for n, t in sorted(classify.FIVE_TWO_KNOWN_TYPES.items())}
+    payload["known_types"] = {str(n): t.value for n, t in known}
     payload["bound_attained"] = report.total_non_certified == 5
-    lines = [
-        f"window: {list(report.window)}",
-        f"inconclusive separating n: {list(report.inconclusive)}",
-        "known types: " + ", ".join(
-            f"n={n}: {t.value}" for n, t in sorted(classify.FIVE_TWO_KNOWN_TYPES.items())),
-        f"non-certified total: {report.total_non_certified} (sharp bound attained: "
-        f"{str(report.total_non_certified == 5).lower()})",
-    ]
-    _emit(_report("example five-two", {"range": args.range}, payload), lines, args.json)
+    return ({"range": args.range}, payload,
+            [f"window: {list(report.window)}",
+             f"inconclusive separating n: {list(report.inconclusive)}",
+             "known types: " + ", ".join(f"n={n}: {t.value}" for n, t in known),
+             f"non-certified total: {report.total_non_certified} (sharp bound "
+             f"attained: {str(report.total_non_certified == 5).lower()})"], [])
 
 
 # -- parser ------------------------------------------------------------------
+
+_INT = {"type": int, "required": True}
+_TYPEK = tuple((flag, _INT) for flag in
+               ("--p", "--q", "--delta", "--rho", "--beta", "--lambda", "--mu"))
+
+# group -> (help, {leaf -> (help or None, handler, arguments)}); every leaf
+# also takes --json.
+_COMMANDS = {
+    "tangle": ("rational tangle arithmetic", {
+        "eval": ("evaluate a continued fraction", _cmd_tangle_eval, (
+            ("twists", {"nargs": "+", "type": int, "metavar": "a"}),
+            ("--convention", {"choices": tangle.CONVENTIONS, "default": "literal"}))),
+    }),
+    "arcs": ("arc crossing sequences", {
+        "crossings": ("reference-arc crossing data", _cmd_arcs_crossings,
+                      (("--rho", _INT), ("--beta", _INT))),
+    }),
+    "boundary": ("boundary words", {
+        "word": ("n-th boundary word", _cmd_boundary_word, _TYPEK + (("--n", _INT),)),
+    }),
+    "classify": ("classification pipelines", {
+        "type-k": ("census of separating annuli", _cmd_classify_typek,
+                   _TYPEK + (("--range", _INT),)),
+        "type-m": ("companion annulus type", _cmd_classify_typem, (("--p", _INT),)),
+        "type-s": ("the two annulus types", _cmd_classify_types, (
+            ("--p", _INT), ("--q", _INT),
+            ("--cv-trivial", {"choices": ("true", "false"), "default": None}))),
+        "em": ("induced-knot graph shape", _cmd_classify_em,
+               tuple((flag, _INT) for flag in ("--l", "--m", "--n", "--p"))
+               + (("--side", {"choices": ("plus", "minus"), "required": True}),)),
+    }),
+    "word": ("free-group word queries", {
+        op: (None, _cmd_word, (("words", {"nargs": nargs, "metavar": "WORD"}),))
+        for op, nargs in (("primitive", 1), ("power", 1), ("conjugate", 2))
+    }),
+    "jsj": ("decomposition-graph validation", {
+        "validate": (None, _cmd_jsj_validate, (("file", {}),)),
+    }),
+    "example": ("worked examples", {
+        "five-two": (None, _cmd_example_five_two,
+                     (("--range", {"type": int, "default": 100}),)),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,91 +207,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hkannuli",
         description="Annulus classification calculus for genus-two handlebody-knots")
     top = parser.add_subparsers(dest="command", required=True)
-
-    p_tangle = top.add_parser("tangle", help="rational tangle arithmetic")
-    tangle_sub = p_tangle.add_subparsers(dest="tangle_op", required=True)
-    p_eval = tangle_sub.add_parser("eval", help="evaluate a continued fraction")
-    p_eval.add_argument("twists", nargs="+", type=int, metavar="a")
-    p_eval.add_argument("--convention", choices=tangle.CONVENTIONS, default="literal")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.set_defaults(func=_cmd_tangle_eval)
-
-    p_arcs = top.add_parser("arcs", help="arc crossing sequences")
-    arcs_sub = p_arcs.add_subparsers(dest="arcs_op", required=True)
-    p_cross = arcs_sub.add_parser("crossings", help="reference-arc crossing data")
-    p_cross.add_argument("--rho", type=int, required=True)
-    p_cross.add_argument("--beta", type=int, required=True)
-    p_cross.add_argument("--json", action="store_true")
-    p_cross.set_defaults(func=_cmd_arcs_crossings)
-
-    p_boundary = top.add_parser("boundary", help="boundary words")
-    boundary_sub = p_boundary.add_subparsers(dest="boundary_op", required=True)
-    p_word = boundary_sub.add_parser("word", help="n-th boundary word")
-    _add_typek_arguments(p_word)
-    p_word.add_argument("--n", type=int, required=True)
-    p_word.add_argument("--json", action="store_true")
-    p_word.set_defaults(func=_cmd_boundary_word)
-
-    p_classify = top.add_parser("classify", help="classification pipelines")
-    classify_sub = p_classify.add_subparsers(dest="classify_op", required=True)
-    p_typek = classify_sub.add_parser("type-k", help="census of separating annuli")
-    _add_typek_arguments(p_typek)
-    p_typek.add_argument("--range", type=int, required=True)
-    p_typek.add_argument("--json", action="store_true")
-    p_typek.set_defaults(func=_cmd_classify_typek)
-    p_typem = classify_sub.add_parser("type-m", help="companion annulus type")
-    p_typem.add_argument("--p", type=int, required=True)
-    p_typem.add_argument("--json", action="store_true")
-    p_typem.set_defaults(func=_cmd_classify_typem)
-    p_types = classify_sub.add_parser("type-s", help="the two annulus types")
-    p_types.add_argument("--p", type=int, required=True)
-    p_types.add_argument("--q", type=int, required=True)
-    p_types.add_argument("--cv-trivial", choices=("true", "false"), default=None)
-    p_types.add_argument("--json", action="store_true")
-    p_types.set_defaults(func=_cmd_classify_types)
-    p_em = classify_sub.add_parser("em", help="induced-knot graph shape")
-    for flag in ("--l", "--m", "--n", "--p"):
-        p_em.add_argument(flag, type=int, required=True)
-    p_em.add_argument("--side", choices=("plus", "minus"), required=True)
-    p_em.add_argument("--json", action="store_true")
-    p_em.set_defaults(func=_cmd_classify_em)
-
-    p_word_top = top.add_parser("word", help="free-group word queries")
-    word_sub = p_word_top.add_subparsers(dest="word_op", required=True)
-    for op, nargs in (("primitive", 1), ("power", 1), ("conjugate", 2)):
-        p_op = word_sub.add_parser(op)
-        p_op.add_argument("words", nargs=nargs, metavar="WORD")
-        p_op.add_argument("--json", action="store_true")
-        p_op.set_defaults(func=_cmd_word)
-
-    p_jsj = top.add_parser("jsj", help="decomposition-graph validation")
-    jsj_sub = p_jsj.add_subparsers(dest="jsj_op", required=True)
-    p_validate = jsj_sub.add_parser("validate")
-    p_validate.add_argument("file")
-    p_validate.add_argument("--json", action="store_true")
-    p_validate.set_defaults(func=_cmd_jsj_validate)
-
-    p_example = top.add_parser("example", help="worked examples")
-    example_sub = p_example.add_subparsers(dest="example_op", required=True)
-    p_five = example_sub.add_parser("five-two")
-    p_five.add_argument("--range", type=int, default=100)
-    p_five.add_argument("--json", action="store_true")
-    p_five.set_defaults(func=_cmd_example_five_two)
-
+    for group, (group_help, leaves) in _COMMANDS.items():
+        sub = top.add_parser(group, help=group_help).add_subparsers(
+            dest=f"{group}_op", required=True)
+        for name, (leaf_help, handler, arguments) in leaves.items():
+            # any help= entry, even None, lists the leaf in its group's --help
+            leaf = sub.add_parser(name, **({"help": leaf_help} if leaf_help else {}))
+            for flag, spec in arguments:
+                leaf.add_argument(flag, **spec)
+            leaf.add_argument("--json", action="store_true")
+            leaf.set_defaults(func=handler, command_name=f"{group} {name}")
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, dispatch and print; exit 1 on a rejected input and when
+    ``jsj validate`` reports violations."""
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        inputs, result, lines, warnings = args.func(args)
+    except (ValueError, OSError) as exc:
+        prefix = "invalid parameters: " if isinstance(exc, ParamError) else ""
+        sys.stderr.write(f"error: {prefix}{exc}\n")
         return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
+    if args.json:
+        report = {"command": args.command_name, "inputs": inputs, "result": result,
+                  "warnings": warnings}
+        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write("\n")
+    else:
+        for line in lines + [f"warning: {w}" for w in warnings]:
+            sys.stdout.write(line + "\n")
+    return 1 if result.get("violations") else 0
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator, Mapping, Tuple
 
 GENERATORS = ("u", "v")
@@ -161,10 +160,6 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     return Word(tuple(blocks)), reduce(conj)
 
 
-def cyclic_length(w: Word) -> int:
-    return cyclic_reduce(w)[0].length()
-
-
 def _letter_bytes(w: Word) -> bytes:
     return bytes(_LETTER_CODE[(gen, sign)] for gen, sign in w.letters())
 
@@ -181,30 +176,16 @@ def _min_rotation(s: bytes) -> bytes:
     return min(doubled[i:i + n] for i in range(n))
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A conjugacy class, keyed by the minimal rotation of the cyclic core."""
-
-    representative: Word
-    canonical: Word
-
-    @classmethod
-    def of(cls, w: Word) -> "CyclicWord":
-        core, _ = cyclic_reduce(w)
-        return cls(w, _word_from_codes(_min_rotation(_letter_bytes(core))))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
+def _conjugacy_key(w: Word) -> bytes:
+    """Minimal rotation of the cyclic core's letter codes: equal exactly
+    for conjugate words."""
+    core, _ = cyclic_reduce(w)
+    return _min_rotation(_letter_bytes(core))
 
 
 def are_conjugate(a: Word, b: Word) -> bool:
     """True iff the cyclic cores are cyclic rotations of one another."""
-    return CyclicWord.of(a) == CyclicWord.of(b)
+    return _conjugacy_key(a) == _conjugacy_key(b)
 
 
 def root(w: Word) -> Tuple[Word, int]:
@@ -313,12 +294,6 @@ def cho_koda_criterion(w: Word) -> bool:
     varied = len(set(u_exps)) > 1 and len(set(v_exps)) > 1
     squares = any(abs(e) > 1 for e in u_exps) and any(abs(e) > 1 for e in v_exps)
     return varied or squares
-
-
-def is_primitive_abelianized(w: Word) -> bool:
-    """Necessary condition: the exponent-sum vector is primitive in Z^2."""
-    a, b = w.abelianization()
-    return gcd(a, b) == 1
 
 
 # -- text syntax ------------------------------------------------------------

@@ -17,6 +17,7 @@ presence and node kinds, documented on each rule.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -118,12 +119,6 @@ class JsjGraph:
     edges: Tuple[Edge, ...] = ()
     description: str = ""
 
-    def kind_of(self, node_id: str) -> NodeKind:
-        for nid, kind in self.nodes:
-            if nid == node_id:
-                return kind
-        raise KeyError(node_id)
-
     def bigon_groups(self) -> list[list[Edge]]:
         """Groups of >= 2 parallel non-loop edges (same endpoint pair)."""
         groups: dict[frozenset, list[Edge]] = {}
@@ -163,8 +158,11 @@ def _violation(rule: str, subject: str) -> Violation:
 
 def validate_structure(graph: JsjGraph) -> list[Violation]:
     """Structural admissibility, independent of labels."""
-    violations = []
-    node_ids = {nid for nid, _ in graph.nodes}
+    node_ids = Counter(nid for nid, _ in graph.nodes)
+    edge_ids = Counter(edge.id for edge in graph.edges)
+    violations = [_violation("well-formed-graph", f"duplicate {kind} {ident}")
+                  for kind, ids in (("node", node_ids), ("edge", edge_ids))
+                  for ident, count in ids.items() if count > 1]
     for edge in graph.edges:
         if edge.a not in node_ids or edge.b not in node_ids:
             violations.append(_violation("well-formed-graph", f"edge {edge.id}"))
@@ -263,14 +261,12 @@ def validate(graph: JsjGraph) -> list[Violation]:
 
 def realizability_warnings(graph: JsjGraph) -> list[str]:
     """Admissible shapes with no known realizing handlebody-knot."""
-    warnings = []
-    if graph.bigon_groups():
-        extra = len(graph.edges) - sum(len(g) for g in graph.bigon_groups())
-        if extra > 0:
-            warnings.append("bigon-plus-edge shape: admissible, realizability unknown")
-        elif any(len(g) >= 2 for g in graph.bigon_groups()):
-            warnings.append("bigon label combinations: not all are known to occur")
-    return warnings
+    groups = graph.bigon_groups()
+    if not groups:
+        return []
+    if len(graph.edges) > sum(len(g) for g in groups):
+        return ["bigon-plus-edge shape: admissible, realizability unknown"]
+    return ["bigon label combinations: not all are known to occur"]
 
 
 # -- named graphs -------------------------------------------------------------

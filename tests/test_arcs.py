@@ -5,13 +5,23 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import word_strategy
-from hkannuli.arcs import (ArcCoordinate, PairedUnitSequence, SequenceExtension,
-                           alternating, arc_word, crossing_duals, dual_kinds,
-                           identity_images, interpolating, reference_crossings,
-                           slope_is_valid)
+from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
+                           SequenceExtension, alternating, arc_word, crossing_duals,
+                           interpolating, reference_crossings, slope_is_valid)
 from hkannuli.freegroup import IDENTITY, concat, format_word, invert, parse_word
 
 W = parse_word
+
+
+def dual_kinds(beta):
+    """Closed form for the duals of the paired-sequence entries:
+    alternating, first in d_o for beta > 0 and in d_e for beta < 0."""
+    first, second = ("d_o", "d_e") if beta > 0 else ("d_e", "d_o")
+    return tuple(first if i % 2 == 0 else second for i in range(2 * abs(beta)))
+
+
+def identity_images():
+    return {s: IDENTITY for s in ARC_SYMBOLS}
 
 
 def valid_slopes(max_rho, max_beta):

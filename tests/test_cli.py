@@ -1,9 +1,55 @@
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from hkannuli.cli import run
 from hkannuli.freegroup import format_word, parse_word
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# sha256 of stdout for each command line in the README, run without and
+# with --json; the graph file is the README's sample saved as my.graph.
+README_DIGESTS = {
+    "hkannuli tangle eval --convention mirrored -- -3 2 0": (
+        "466ba73030d773db98547c0d817e5b8defc68020ec4b1e43e9009652cbd8a9d1",
+        "092199c27721147afd9f307d801182d1310091d480d34337a94a079cfb1de490"),
+    "hkannuli arcs crossings --rho 2 --beta -1 --json": (
+        "922ca85a492166f6800937694e31b6a2a3f4025ae0461c32019fed2737eade41",
+        "61d7d8e224ef5ad47484baa4aa353b382b47afea3693442dfa59593a7b718b9a"),
+    "hkannuli boundary word --p 2 --q 1 --delta 0 --rho 0 --beta 0 --lambda 1 --mu 0 --n 5": (
+        "eca73e9906361a81bcc36ec1886b10ad35a31bedff902ead027c46d97d3fb166",
+        "f8ddeb325b9a26298526b5d791fbb6067299d4394cfe5a273db78348c17821d0"),
+    "hkannuli classify type-k --p 2 --q 1 --delta 0 --rho 0 --beta 0 --lambda 1 --mu 0 "
+    "--range 100": (
+        "1f25c5c83f52b78f04ed880b9a636cd8dc351304a6b8614fac818fa7de75e273",
+        "886c69be99a58fa521da63fdfeb107f6ada7ba2d00457ebea72daef5d6367fdd"),
+    "hkannuli classify type-m --p -1": (
+        "33fcb0338e64b95d0781a28321cefa130309f5613ff25719dbdef4ab57b2c3fa",
+        "68b63ea039cea736fe0173bc79e1af5419d50fe45d53b3bb200df4847dbac9f1"),
+    "hkannuli classify type-s --p 3 --q 2": (
+        "c3f3347091cfe2314d92b4d09fefdabd6725a4791caad7d170e88bd10abb93a5",
+        "f1f40cb47ddd364d1d9cb96bc84cb537e4fe6419fa586f966016e68e2f4f6ca7"),
+    "hkannuli classify em --l 3 --m 1 --n 0 --p 1 --side plus": (
+        "3ac364cc709d593c62962ab520a4873527cccf1bb937058973f7c1fb92a6b60b",
+        "042e64640d64a37e731fded7ea96b0faff1d70306905793b219678a782b0254b"),
+    'hkannuli word primitive "v u^2"': (
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+        "d0df0264ba5db4a3516714355783842aaab953ac4e4b6b4126968951eef96c21"),
+    'hkannuli word conjugate "u v" "v u"': (
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+        "9935dc526ae8f94cc342eb2622a0d4b3c6ba4e2ffbd742a181661b381ce85ea3"),
+    "hkannuli jsj validate my.graph": (
+        "ac80f4363e4738b7e2a990d0706ddef960f33685520d7e5e13c2d3f8b9b707b9",
+        "f75c39813467032d25ea647787662d4ece2ed958cfc14e7bc31b97dfc8e9132f"),
+    "hkannuli example five-two": (
+        "0d84b28531de6a86dcecb7cb1405c67743c2dcc598474b783c22dfb5a3cac270",
+        "d744d4816dcb538f97a1587382ab08034809f2bb3ca50f725b19047728caec2c"),
+}
 
 
 def invoke(capsys, *argv):
@@ -123,3 +169,34 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         run(["classify", "type-m"])  # missing --p
     assert info.value.code == 2
+
+
+def test_readme_commands_golden(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+    commands = [line for lang, body in blocks if lang == "sh"
+                for line in body.splitlines() if line.startswith("hkannuli ")]
+    graph = next(body for lang, body in blocks if lang == "" and "\nnode " in body)
+    assert commands == list(README_DIGESTS)
+    (tmp_path / "my.graph").write_text(graph)
+    monkeypatch.chdir(tmp_path)
+    for line, digests in README_DIGESTS.items():
+        argv = [arg for arg in shlex.split(line)[1:] if arg != "--json"]
+        for variant, digest in zip((argv, argv[:2] + ["--json"] + argv[2:]), digests):
+            code, out, _ = invoke(capsys, *variant)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), variant
+
+
+@pytest.mark.parametrize("text, subject", [
+    ("node x ifibered\nnode s seifert\nedge a x s label=3-3i\nedge a x s label=3-3i\n",
+     "duplicate edge a"),
+    ("node x ifibered\nnode x ifibered\n", "duplicate node x"),
+], ids=["edge", "node"])
+def test_jsj_validate_duplicate_ids(tmp_path, capsys, text, subject):
+    # reported as a malformed file before any count of central nodes
+    path = tmp_path / "dup.graph"
+    path.write_text(text)
+    code, out, _ = invoke(capsys, "jsj", "validate", str(path), "--json")
+    assert code == 1
+    violations = json.loads(out)["result"]["violations"]
+    assert [(v["rule"], v["subject"]) for v in violations] == [
+        ("well-formed-graph", subject)]

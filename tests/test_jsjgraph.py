@@ -159,6 +159,18 @@ class TestSlopeRules:
         assert "bigon-slope-law" in rules_of(validate_slopes(small))
 
 
+class TestRealizabilityWarnings:
+    @pytest.mark.parametrize("edges, expected", [
+        ((Edge("a", "x", "s"), Edge("b", "x", "s")),
+         ["bigon label combinations: not all are known to occur"]),
+        ((Edge("a", "x", "s"), Edge("b", "x", "s"), Edge("c", "x", "x")),
+         ["bigon-plus-edge shape: admissible, realizability unknown"]),
+        ((Edge("a", "x", "s"), Edge("b", "x", "x")), []),
+    ], ids=["bigon-only", "bigon-plus-edge", "no-bigon"])
+    def test_exact_warnings(self, edges, expected):
+        assert realizability_warnings(hub_graph(*edges, extra_nodes=("s",))) == expected
+
+
 class TestTextFormat:
     SAMPLE = """
     # a bigon with slopes plus a loop
