@@ -74,12 +74,23 @@ class TestConjugacy:
     def test_examples(self):
         assert are_conjugate(W("u v"), W("v u"))
         assert not are_conjugate(W("u v"), W("U v"))
-        assert are_conjugate(W("u v^2 U"), W("v^2"))
-        assert not are_conjugate(W("u v^2 U"), W("v^-2"))
 
     @given(word_strategy(), word_strategy())
     def test_conjugation(self, w, g):
         assert are_conjugate(w, concat(g, w, invert(g)))
+
+    def test_cyclic_word_equality_and_hash(self):
+        # the conjugacy key stands for a cyclic word: equal, with equal
+        # hashes, exactly on a conjugacy class, and it decodes to the
+        # canonical rotation of the cyclic core
+        from hkannuli.freegroup import _conjugacy_key, _word_from_codes
+        a = _conjugacy_key(W("u v^2 U"))
+        b = _conjugacy_key(W("v^2"))
+        assert a == b and hash(a) == hash(b)
+        assert _word_from_codes(a) == W("v^2")
+        assert are_conjugate(W("u v^2 U"), W("v^2"))
+        assert a != _conjugacy_key(W("v^-2"))
+        assert not are_conjugate(W("u v^2 U"), W("v^-2"))
 
 
 class TestRoot:
