@@ -9,23 +9,20 @@ Text syntax (used by the CLI and the tests): ``u``, ``v``, ``U`` (= u^-1),
 ``V`` (= v^-1), optional ``^`` integer exponents, juxtaposition, and ``1``
 for the identity.  Example: ``v^2 u^-3``.
 
-Canonical cyclic forms order the signed letters u < u^-1 < v < v^-1; two
-words are conjugate iff the canonical rotations of their cyclic cores agree.
+A cyclically reduced core has a block decomposition that is unique up to
+rotation, so two words are conjugate iff the least block rotations of their
+cyclic cores agree, and roots are periods of the core's blocks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 GENERATORS = ("u", "v")
 
 Block = Tuple[str, int]
-
-# Signed-letter codes, in canonical order u < u^-1 < v < v^-1.
-_LETTER_CODE = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
-_CODE_LETTER = {code: gen_sign for gen_sign, code in _LETTER_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,6 @@ class Word:
         for gen, exp in self.blocks:
             totals[gen] += exp
         return totals["u"], totals["v"]
-
-    def letters(self) -> Iterator[Tuple[str, int]]:
-        """Yield single signed letters, e.g. v^2 u^-1 -> (v,1),(v,1),(u,-1)."""
-        for gen, exp in self.blocks:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, sign
 
     # -- group operations ----------------------------------------------
 
@@ -160,27 +150,11 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     return Word(tuple(blocks)), reduce(conj)
 
 
-def _letter_bytes(w: Word) -> bytes:
-    return bytes(_LETTER_CODE[(gen, sign)] for gen, sign in w.letters())
-
-
-def _word_from_codes(codes: Iterable[int]) -> Word:
-    return reduce((_CODE_LETTER[c][0], _CODE_LETTER[c][1]) for c in codes)
-
-
-def _min_rotation(s: bytes) -> bytes:
-    if len(s) <= 1:
-        return s
-    doubled = s + s
-    n = len(s)
-    return min(doubled[i:i + n] for i in range(n))
-
-
-def _conjugacy_key(w: Word) -> bytes:
-    """Minimal rotation of the cyclic core's letter codes: equal exactly
-    for conjugate words."""
-    core, _ = cyclic_reduce(w)
-    return _min_rotation(_letter_bytes(core))
+def _conjugacy_key(w: Word) -> Tuple[Block, ...]:
+    """Least rotation of the cyclic core's blocks: equal exactly for
+    conjugate words; the identity maps to ``()``."""
+    blocks = cyclic_reduce(w)[0].blocks
+    return min((blocks[i:] + blocks[:i] for i in range(len(blocks))), default=())
 
 
 def are_conjugate(a: Word, b: Word) -> bool:
@@ -190,20 +164,20 @@ def are_conjugate(a: Word, b: Word) -> bool:
 
 def root(w: Word) -> Tuple[Word, int]:
     """Maximal root: ``w = r^k`` with ``k`` maximal, via period detection
-    on the cyclic core, conjugated back."""
+    on the cyclic core's blocks, conjugated back."""
     if w.is_identity:
         raise ValueError("identity has no root decomposition")
     core, conj = cyclic_reduce(w)
-    codes = _letter_bytes(core)
-    n = len(codes)
-    for period in range(1, n + 1):
-        if n % period:
-            continue
-        if codes == codes[:period] * (n // period):
-            r_core = _word_from_codes(codes[:period])
-            r = concat(conj, r_core, conj.inverse())
-            return r, n // period
-    raise AssertionError("period search cannot fail")  # pragma: no cover
+    blocks = core.blocks
+    n = len(blocks)
+    if n == 1:
+        gen, exp = blocks[0]
+        r_core, k = generator(gen, 1 if exp > 0 else -1), abs(exp)
+    else:
+        period = next(p for p in range(1, n + 1)
+                      if n % p == 0 and blocks == blocks[:p] * (n // p))
+        r_core, k = Word(blocks[:period]), n // period
+    return concat(conj, r_core, conj.inverse()), k
 
 
 # -- Whitehead primitivity -------------------------------------------------

@@ -260,7 +260,10 @@ def validate(graph: JsjGraph) -> list[Violation]:
 
 
 def realizability_warnings(graph: JsjGraph) -> list[str]:
-    """Admissible shapes with no known realizing handlebody-knot."""
+    """Admissible shapes with no known realizing handlebody-knot.  A graph
+    with repeated edge ids is malformed, not a shape, and gets none."""
+    if len({edge.id for edge in graph.edges}) < len(graph.edges):
+        return []
     groups = graph.bigon_groups()
     if not groups:
         return []

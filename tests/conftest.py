@@ -104,9 +104,17 @@ def _apply(word: Word, images) -> Word:
     return word_reduce(blocks)
 
 
+def letters(word: Word):
+    """Yield single signed letters, e.g. v^2 u^-1 -> (v,1),(v,1),(u,-1)."""
+    for gen, exp in word.blocks:
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            yield gen, sign
+
+
 def _codes(word: Word) -> tuple:
     table = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
-    return tuple(table[(g, s)] for g, s in word.letters())
+    return tuple(table[(g, s)] for g, s in letters(word))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import sample_typek_params
+from conftest import letters, sample_typek_params
 from hkannuli import boundary
 from hkannuli.boundary import (ParamError, TypeKParams, boundary_word,
                                delta_claim_gamma, homology_class, k_minus_word,
@@ -67,7 +67,7 @@ class TestBoundaryWord:
             n = rng.randint(-8, 8)
             word = boundary_word(params, n)
             counts = {"u": 0, "v": 0}
-            for gen, sign in word.letters():
+            for gen, sign in letters(word):
                 counts[gen] += sign
             assert (counts["u"], counts["v"]) == word.abelianization()
             mid = params.q * (n + params.mu) + params.delta

@@ -197,6 +197,8 @@ def test_jsj_validate_duplicate_ids(tmp_path, capsys, text, subject):
     path.write_text(text)
     code, out, _ = invoke(capsys, "jsj", "validate", str(path), "--json")
     assert code == 1
-    violations = json.loads(out)["result"]["violations"]
+    report = json.loads(out)
+    violations = report["result"]["violations"]
     assert [(v["rule"], v["subject"]) for v in violations] == [
         ("well-formed-graph", subject)]
+    assert report["warnings"] == []

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 
 from conftest import (cyclically_reduced_classes, oracle_is_primitive,
                       word_from_codes, word_strategy)
-from hkannuli.freegroup import (IDENTITY, Word, are_conjugate, cho_koda_criterion,
-                                concat, cyclic_reduce, format_word, invert,
-                                is_power_of_primitive, is_primitive, parse_word,
-                                reduce, root)
+from hkannuli.freegroup import (IDENTITY, Word, _conjugacy_key, are_conjugate,
+                                cho_koda_criterion, concat, cyclic_reduce,
+                                format_word, invert, is_power_of_primitive,
+                                is_primitive, parse_word, reduce, root)
 from math import gcd
 
 W = parse_word
@@ -74,6 +74,7 @@ class TestConjugacy:
     def test_examples(self):
         assert are_conjugate(W("u v"), W("v u"))
         assert not are_conjugate(W("u v"), W("U v"))
+        assert are_conjugate(W("u^1000000000 v"), W("v u^1000000000"))
 
     @given(word_strategy(), word_strategy())
     def test_conjugation(self, w, g):
@@ -83,11 +84,10 @@ class TestConjugacy:
         # the conjugacy key stands for a cyclic word: equal, with equal
         # hashes, exactly on a conjugacy class, and it decodes to the
         # canonical rotation of the cyclic core
-        from hkannuli.freegroup import _conjugacy_key, _word_from_codes
         a = _conjugacy_key(W("u v^2 U"))
         b = _conjugacy_key(W("v^2"))
         assert a == b and hash(a) == hash(b)
-        assert _word_from_codes(a) == W("v^2")
+        assert Word(a) == W("v^2")
         assert are_conjugate(W("u v^2 U"), W("v^2"))
         assert a != _conjugacy_key(W("v^-2"))
         assert not are_conjugate(W("u v^2 U"), W("v^-2"))
@@ -98,6 +98,7 @@ class TestRoot:
         assert root(W("u^4")) == (W("u"), 4)
         assert root(W("u v") ** 3) == (W("u v"), 3)
         assert root(W("u v u v^2")) == (W("u v u v^2"), 1)
+        assert root(W("u^1000000000 v") ** 3) == (W("u^1000000000 v"), 3)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +110,24 @@ class TestRoot:
         if r.is_identity or root(r)[1] != 1:
             return
         assert root(r ** k) == (r, k)
+
+
+def test_blocks_agree_with_letter_reference():
+    # every cyclic class of letter length <= 8: the block key is one value
+    # per class, and the root is the minimal letter period of the class
+    classes = cyclically_reduced_classes(8)
+    keys = set()
+    for codes in classes.values():
+        n = len(codes)
+        key = _conjugacy_key(word_from_codes(codes))
+        for i in range(1, n):
+            assert _conjugacy_key(word_from_codes(codes[i:] + codes[:i])) == key
+        keys.add(key)
+        period = next(p for p in range(1, n + 1)
+                      if n % p == 0 and codes == codes[:p] * (n // p))
+        assert root(word_from_codes(codes)) == (word_from_codes(codes[:period]),
+                                                n // period)
+    assert len(keys) == len(classes) == 1386
 
 
 class TestPrimitivity:
