@@ -13,8 +13,11 @@ the integer lattice, the reference arc of slope r becomes
 
 Crossings with the vertical dual arcs on integer columns (even column =
 d_e, odd column = d_o) and with the horizontal duals on odd rows (s_0')
-are enumerated in exact rational arithmetic; eps is never materialised
-because coprimality of (2*rho, |2*beta + 1|) rules out lattice incidences.
+are counted in integers, as for a Christoffel word: with d = |2*beta + 1|
+the straight segment meets the d - 1 columns k = 1..d-1 at heights
+2*rho*k/d, and one floor division per column counts the odd rows below.
+No two crossings tie and eps is never materialised: gcd(2*rho, d) = 1 and
+0 < k < d make 2*rho*k/d a non-integer.
 
 Crossing signs.  Signs are constant per lift segment, one sign per dual
 family: the straight segment of a beta >= 0 lift crosses every dual at +1;
@@ -34,7 +37,6 @@ Closed-form anchors used to pin the conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Mapping, Tuple
@@ -63,10 +65,6 @@ class ArcCoordinate:
         if not slope_is_valid(self.rho, self.beta):
             raise ValueError(
                 f"2*rho and 2*beta+1 must be coprime; got rho={self.rho}, beta={self.beta}")
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(2 * self.rho, 2 * self.beta + 1)
 
 
 @dataclass(frozen=True)
@@ -132,34 +130,31 @@ def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
     """Ordered (dual, sign) crossings of the reference-arc lift.
 
     Duals are "d_o"/"d_e" for integer-column crossings (odd/even column)
-    and "s0p" for odd-row crossings.  The order key is the exact height at
-    which the straight segment meets each dual; coprimality rules out ties
-    and lattice incidences, so no epsilon is ever materialised.
+    and "s0p" for odd-row crossings.  Exactly (2*rho*k + d) // (2*d) odd
+    rows lie below column k; the rows left over up to rho follow the last
+    column.
     """
+    if rho < 0:
+        raise ValueError("rho must be non-negative")
     if not slope_is_valid(rho, beta):
         raise ValueError(
             f"invalid slope: gcd(2*rho, |2*beta+1|) != 1 for rho={rho}, beta={beta}")
-
-    def column(k: int) -> str:
-        return "d_o" if k % 2 == 1 else "d_e"
-
-    denominator = abs(2 * beta + 1)
-    line: list[tuple[Fraction, str, int]] = []
+    d = abs(2 * beta + 1)
+    row = ("s0p", 1 if beta >= 0 else -1)
+    line: list[Tuple[str, int]] = []
+    rows = 0
+    # the segment meets d - 1 columns: 2*beta of them, or 2*|beta| - 2
+    for k in range(1, d):
+        below = (2 * rho * k + d) // (2 * d)
+        line += [row] * (below - rows)
+        line.append(("d_o" if k % 2 == 1 else "d_e", 1))
+        rows = below
+    line += [row] * (rho - rows)
     if beta >= 0:
-        for k in range(1, 2 * beta + 1):
-            line.append((Fraction(2 * rho * k, denominator), column(k), 1))
-        for m in range(1, 2 * rho, 2):
-            line.append((Fraction(m), "s0p", 1))
-        line.sort(key=lambda ev: ev[0])
-        return tuple((dual, sign) for _, dual, sign in line)
+        return tuple(line)
     # beta < 0: the straight segment runs between two half-circuits of the
     # end punctures, which contribute fixed leading/trailing records.
-    for k in range(1, 2 * abs(beta) - 1):
-        line.append((Fraction(2 * rho * k, denominator), column(k), 1))
-    for m in range(1, 2 * rho, 2):
-        line.append((Fraction(m), "s0p", -1))
-    line.sort(key=lambda ev: ev[0])
-    return (("d_e", -1),) + tuple((d, s) for _, d, s in line) + (("d_o", 1),)
+    return (("d_e", -1),) + tuple(line) + (("d_o", 1),)
 
 
 def reference_crossings(rho: int, beta: int) -> Tuple[PairedUnitSequence, SequenceExtension]:

@@ -41,17 +41,18 @@ def _cmd_tangle_eval(args: argparse.Namespace):
 def _cmd_arcs_crossings(args: argparse.Namespace):
     seq, ext = arcs.reference_crossings(args.rho, args.beta)
     kinds = arcs.crossing_duals(args.rho, args.beta)
+    zetas = list(ext.zetas())
     return ({"rho": args.rho, "beta": args.beta},
             {"A": list(seq.entries),
              "A_hat": list(ext.entries),
              "kappa": list(ext.kappa),
-             "zeta": list(ext.zetas()),
+             "zeta": zetas,
              "duals": list(kinds),
              "sigma": ext.sigma},
             [f"A      = {list(seq.entries)}",
              f"A-hat  = {list(ext.entries)}",
              f"kappa  = {list(ext.kappa)}",
-             f"zeta   = {list(ext.zetas())}"], [])
+             f"zeta   = {zetas}"], [])
 
 
 def _cmd_boundary_word(args: argparse.Namespace):

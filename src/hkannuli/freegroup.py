@@ -70,9 +70,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((gen, -exp) for gen, exp in reversed(self.blocks)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()

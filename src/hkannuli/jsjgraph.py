@@ -329,18 +329,22 @@ def parse_graph(text: str) -> JsjGraph:
         try:
             if tokens[0] == "node" and len(tokens) == 3:
                 nodes.append((tokens[1], NodeKind(tokens[2])))
-            elif tokens[0] == "edge" and 4 <= len(tokens) <= 6:
-                label = None
-                slope = None
+            elif tokens[0] == "edge":
+                if not 4 <= len(tokens) <= 6:
+                    raise ValueError("expected 'edge <id> <nodeA> <nodeB> "
+                                     "[label=<type>] [slope=<pair>]'")
+                attrs: dict = {}
                 for extra in tokens[4:]:
                     key, _, value = extra.partition("=")
+                    if key in attrs:
+                        raise ValueError(f"repeated edge attribute {key!r}")
                     if key == "label":
-                        label = _LABELS[value]
+                        attrs[key] = _LABELS[value]
                     elif key == "slope":
-                        slope = _parse_slope(value)
+                        attrs[key] = _parse_slope(value)
                     else:
                         raise ValueError(f"unknown edge attribute {key!r}")
-                edges.append(Edge(tokens[1], tokens[2], tokens[3], label, slope))
+                edges.append(Edge(tokens[1], tokens[2], tokens[3], **attrs))
             else:
                 raise ValueError(f"unrecognised directive {tokens[0]!r}")
         except (KeyError, ValueError) as exc:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 
 from conftest import word_strategy
 from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
-                           SequenceExtension, alternating, arc_word, crossing_duals,
-                           interpolating, reference_crossings, slope_is_valid)
+                           SequenceExtension, _crossing_events, alternating, arc_word,
+                           crossing_duals, interpolating, reference_crossings,
+                           slope_is_valid)
 from hkannuli.freegroup import IDENTITY, concat, format_word, invert, parse_word
 
 W = parse_word
@@ -22,6 +24,23 @@ def dual_kinds(beta):
 
 def identity_images():
     return {s: IDENTITY for s in ARC_SYMBOLS}
+
+
+def sorted_crossings(rho, beta):
+    """Reference order: every crossing keyed by its exact height on the
+    straight segment, then sorted; beta < 0 adds the half-circuit records."""
+    def column(k):
+        return "d_o" if k % 2 == 1 else "d_e"
+
+    denominator = abs(2 * beta + 1)
+    columns = 2 * beta if beta >= 0 else 2 * abs(beta) - 2
+    row_sign = 1 if beta >= 0 else -1
+    line = [(Fraction(2 * rho * k, denominator), column(k), 1)
+            for k in range(1, columns + 1)]
+    line += [(Fraction(m), "s0p", row_sign) for m in range(1, 2 * rho, 2)]
+    line.sort(key=lambda ev: ev[0])
+    events = tuple((dual, sign) for _, dual, sign in line)
+    return events if beta >= 0 else (("d_e", -1),) + events + (("d_o", 1),)
 
 
 def valid_slopes(max_rho, max_beta):
@@ -76,6 +95,14 @@ class TestReferenceCrossings:
             reference_crossings(3, 1)
         with pytest.raises(ValueError):
             reference_crossings(0, 3)
+        with pytest.raises(ValueError, match="^rho must be non-negative$"):
+            reference_crossings(-1, 0)
+
+    def test_floor_counts_match_sorted_heights(self):
+        pairs = list(valid_slopes(100, 20))
+        assert len(pairs) == 3320
+        for rho, beta in pairs:
+            assert _crossing_events(rho, beta) == sorted_crossings(rho, beta), (rho, beta)
 
     def test_counts_and_alternation(self):
         for rho, beta in valid_slopes(8, 8):

@@ -85,6 +85,8 @@ def test_arcs_crossings(capsys):
     assert payload["result"]["A_hat"] == [-1, -1, -1, 1]
     code, _, err = invoke(capsys, "arcs", "crossings", "--rho", "3", "--beta", "1")
     assert code == 1 and "invalid slope" in err
+    code, _, err = invoke(capsys, "arcs", "crossings", "--rho", "-1", "--beta", "0")
+    assert code == 1 and err == "error: rho must be non-negative\n"
 
 
 def test_boundary_word_round_trips(capsys):
@@ -202,3 +204,11 @@ def test_jsj_validate_duplicate_ids(tmp_path, capsys, text, subject):
     assert [(v["rule"], v["subject"]) for v in violations] == [
         ("well-formed-graph", subject)]
     assert report["warnings"] == []
+
+
+def test_jsj_validate_repeated_attribute(tmp_path, capsys):
+    path = tmp_path / "repeated.graph"
+    path.write_text("node x ifibered\nnode s seifert\nedge a x s label=3-3i label=2-1\n")
+    code, out, err = invoke(capsys, "jsj", "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 3: repeated edge attribute 'label'\n"

@@ -198,3 +198,14 @@ class TestTextFormat:
     def test_parse_errors(self, line):
         with pytest.raises(ValueError):
             parse_graph("node x simple\nnode y seifert\n" + line)
+
+    @pytest.mark.parametrize("line, message", [
+        ("edge a x y label=3-3i label=2-1", "line 3: repeated edge attribute 'label'"),
+        ("edge a x y slope=prod:3/2 slope=prod:3/2", "line 3: repeated edge attribute 'slope'"),
+        ("edge a x", "line 3: expected 'edge <id> <nodeA> <nodeB> "
+                     "[label=<type>] [slope=<pair>]'"),
+    ])
+    def test_parse_error_messages(self, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_graph("node x simple\nnode y seifert\n" + line)
+        assert str(info.value) == message
