@@ -1,7 +1,7 @@
 """Annulus classification calculus for genus-two handlebody-knot exteriors.
 
 Exact, dependency-free computations: rank-2 free-group word algebra with a
-Whitehead primitivity decision, rational-tangle continued fractions, the
+Whitehead primitivity decision, rational-tangle continued-fraction values, the
 arc-coordinate crossing calculus on the 4-punctured sphere, boundary words
 of the twisted Moebius-band families, the type 4-1 / type-M / type-S
 classification pipelines, and a rule validator for decomposition graphs.

@@ -212,6 +212,10 @@ class CensusReport:
     total_non_certified: int
 
 
+# Largest census span: 2*span + 1 classifications, a few seconds at this size.
+SPAN_BUDGET = 100_000
+
+
 def typeK_census(params: TypeKParams, span: int) -> CensusReport:
     """Classify every separating annulus with |n| <= span, cross-check the
     exclusion window, and account for the unique non-separating annulus.
@@ -221,6 +225,8 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
     """
     if span <= 0:
         raise ValueError("span must be positive")
+    if span > SPAN_BUDGET:
+        raise ValueError(f"span must be at most {SPAN_BUDGET}")
     window = non_type41_window(params)
     entries = []
     inconclusive = []

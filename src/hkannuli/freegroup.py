@@ -11,7 +11,8 @@ for the identity.  Example: ``v^2 u^-3``.
 
 A cyclically reduced core has a block decomposition that is unique up to
 rotation, so two words are conjugate iff the least block rotations of their
-cyclic cores agree, and roots are periods of the core's blocks.
+cyclic cores agree, and roots are periods of the core's blocks.  Powers
+repeat the core's blocks and are then conjugated back.
 """
 
 from __future__ import annotations
@@ -64,29 +65,18 @@ class Word:
 
     # -- group operations ----------------------------------------------
 
-    def __mul__(self, other: "Word") -> "Word":
-        return reduce(self.blocks + other.blocks)
-
     def inverse(self) -> "Word":
         return Word(tuple((gen, -exp) for gen, exp in reversed(self.blocks)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
+        if len(self.blocks) == 1:
+            gen, exp = self.blocks[0]
+            return generator(gen, exp * n)
+        core, conj = cyclic_reduce(self if n >= 0 else self.inverse())
         n = abs(n)
-        if len(base.blocks) == 1:
-            gen, exp = base.blocks[0]
-            return Word(((gen, exp * n),))
-        result = Word()
-        square = base
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        # copies of a cyclically reduced core of two or more blocks never merge
+        power = core ** n if len(core.blocks) == 1 else Word(core.blocks * n)
+        return concat(conj, power, conj.inverse()) if conj.blocks else power
 
     def __str__(self) -> str:
         return format_word(self)
@@ -107,17 +97,13 @@ V = generator("v")
 
 def reduce(raw: Iterable[Block]) -> Word:
     """Freely reduce a block sequence: merge runs, drop zero exponents."""
-    stack: list[list] = []
+    stack: list[Block] = []
     for gen, exp in raw:
-        if exp == 0:
-            continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
-    return Word(tuple((g, e) for g, e in stack))
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((gen, exp))
+    return Word(tuple(stack))
 
 
 def concat(*words: Word) -> Word:
@@ -133,18 +119,19 @@ def invert(w: Word) -> Word:
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     """Split ``w = conjugator * core * conjugator^-1`` with a cyclically
-    reduced core (first and last blocks cannot merge)."""
-    blocks = list(w.blocks)
-    conj: list[Block] = []
-    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
-        gen, head = blocks[0]
-        tail = blocks[-1][1]
-        conj.append((gen, head))
-        blocks = blocks[1:-1]
-        if head + tail != 0:
-            blocks.append((gen, head + tail))
-            break
-    return Word(tuple(blocks)), reduce(conj)
+    reduced core (first and last blocks cannot merge); the conjugator is a
+    block prefix of w."""
+    blocks = w.blocks
+    i, j = 0, len(blocks) - 1
+    while i < j and blocks[i][0] == blocks[j][0]:
+        gen, head = blocks[i]
+        total = head + blocks[j][1]
+        if total:
+            return Word(blocks[i + 1:j] + ((gen, total),)), Word(blocks[:i + 1])
+        i, j = i + 1, j - 1
+    if not i:
+        return w, IDENTITY
+    return Word(blocks[i:j + 1]), Word(blocks[:i])
 
 
 def _conjugacy_key(w: Word) -> Tuple[Block, ...]:
@@ -199,7 +186,8 @@ def _whitehead_maps() -> Tuple[Mapping[str, Word], ...]:
         for mult_exp in (1, -1):
             a = generator(mult_gen, mult_exp)
             x = generator(fixed_gen)
-            for image in (x * a, a.inverse() * x, a.inverse() * x * a):
+            for image in (concat(x, a), concat(a.inverse(), x),
+                          concat(a.inverse(), x, a)):
                 maps.append({mult_gen: generator(mult_gen), fixed_gen: image})
     return tuple(maps)
 
@@ -229,10 +217,7 @@ def is_primitive(w: Word) -> bool:
     Decided by Whitehead descent: w is primitive iff the minimum cyclic
     length reachable by length-decreasing Whitehead automorphisms is 1.
     """
-    core, _ = cyclic_reduce(w)
-    if core.is_identity:
-        return False
-    return whitehead_minimize(core).length() == 1
+    return whitehead_minimize(w).length() == 1
 
 
 def is_power_of_primitive(w: Word) -> bool:

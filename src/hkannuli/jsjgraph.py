@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
@@ -38,7 +37,9 @@ class SlopePair:
 
     ``recip`` encodes the unordered pair (p/q, q/p) with p*q != 0;
     ``prod`` encodes (p/q, p*q) with q > 0 and p not in {1, -1}.
-    Fractions are stored in lowest terms.
+    Fractions are stored in lowest terms; the ``recip`` and ``prod``
+    constructors also make the denominator positive.  Pairs compare equal
+    when they hold the same two slopes.
     """
 
     form: str
@@ -57,28 +58,29 @@ class SlopePair:
             if self.p in (1, -1):
                 raise ValueError("prod slope requires p outside {1, -1}")
         if gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError("slope fractions must be in lowest terms")
+            raise ValueError("slope must be in lowest terms")
+
+    @classmethod
+    def _lowest_terms(cls, form: str, p: int, q: int) -> "SlopePair":
+        g = gcd(p, q) or 1
+        if q < 0:
+            g = -g
+        return cls(form, p // g, q // g)
 
     @classmethod
     def recip(cls, p: int, q: int) -> "SlopePair":
-        if p * q == 0:
-            raise ValueError("recip slope requires p*q != 0")
-        g = gcd(abs(p), abs(q))
-        p, q = p // g, q // g
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        return cls("recip", p, q)
+        return cls._lowest_terms("recip", p, q)
 
     @classmethod
     def prod(cls, p: int, q: int) -> "SlopePair":
-        g = gcd(abs(p), abs(q)) or 1
-        return cls("prod", p // g, q // g)
+        return cls._lowest_terms("prod", p, q)
 
-    @property
-    def values(self) -> frozenset:
-        if self.form == "recip":
-            return frozenset({Fraction(self.p, self.q), Fraction(self.q, self.p)})
-        return frozenset({Fraction(self.p, self.q), Fraction(self.p * self.q)})
+    def _key(self) -> tuple:
+        # prod's (p, q) is unique for its pair; recip's pair is unordered
+        if self.form == "prod":
+            return self.form, self.p, self.q
+        a, b = sorted((abs(self.p), abs(self.q)))
+        return self.form, self.p * self.q > 0, a, b
 
     @property
     def is_trivial(self) -> bool:
@@ -87,10 +89,10 @@ class SlopePair:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlopePair):
             return NotImplemented
-        return self.form == other.form and self.values == other.values
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.form, self.values))
+        return hash(self._key())
 
     def __str__(self) -> str:
         return f"{self.form}:{self.p}/{self.q}"
@@ -299,9 +301,6 @@ def graph_m() -> JsjGraph:
 
 # -- text format ---------------------------------------------------------------
 
-_LABELS = {t.value: t for t in AnnulusType}
-
-
 def _parse_slope(token: str) -> SlopePair:
     form, _, frac = token.partition(":")
     num, _, den = frac.partition("/")
@@ -327,7 +326,9 @@ def parse_graph(text: str) -> JsjGraph:
             continue
         tokens = line.split()
         try:
-            if tokens[0] == "node" and len(tokens) == 3:
+            if tokens[0] == "node":
+                if len(tokens) != 3:
+                    raise ValueError("expected 'node <id> ifibered|seifert|simple'")
                 nodes.append((tokens[1], NodeKind(tokens[2])))
             elif tokens[0] == "edge":
                 if not 4 <= len(tokens) <= 6:
@@ -339,7 +340,7 @@ def parse_graph(text: str) -> JsjGraph:
                     if key in attrs:
                         raise ValueError(f"repeated edge attribute {key!r}")
                     if key == "label":
-                        attrs[key] = _LABELS[value]
+                        attrs[key] = AnnulusType(value)
                     elif key == "slope":
                         attrs[key] = _parse_slope(value)
                     else:
@@ -347,6 +348,6 @@ def parse_graph(text: str) -> JsjGraph:
                 edges.append(Edge(tokens[1], tokens[2], tokens[3], **attrs))
             else:
                 raise ValueError(f"unrecognised directive {tokens[0]!r}")
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return JsjGraph(tuple(nodes), tuple(edges))

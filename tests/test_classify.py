@@ -75,8 +75,10 @@ class TestCensus:
         assert set(report.inconclusive) <= set(report.window)
 
     def test_bad_span_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^span must be positive$"):
             typeK_census(FIVE_TWO, 0)
+        with pytest.raises(ValueError, match="^span must be at most 100000$"):
+            typeK_census(FIVE_TWO, 100_001)
 
     def test_known_types_table(self):
         assert classify.FIVE_TWO_KNOWN_TYPES == {

@@ -152,6 +152,16 @@ def test_example_five_two(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", [
+    ("classify", "type-k", "--p", "2", "--q", "1", "--delta", "0", "--rho", "0",
+     "--beta", "0", "--lambda", "1", "--mu", "0"),
+    ("example", "five-two"),
+], ids=["type-k", "five-two"])
+def test_range_budget(capsys, command):
+    code, out, err = invoke(capsys, *command, "--range", "100001")
+    assert (code, out, err) == (1, "", "error: span must be at most 100000\n")
+
+
 def test_jsj_validate(tmp_path, capsys):
     clean = tmp_path / "clean.graph"
     clean.write_text("node x simple\n")

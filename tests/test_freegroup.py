@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -68,6 +70,24 @@ class TestCyclicReduce:
         blocks = core.blocks
         if len(blocks) >= 2:
             assert blocks[0][0] != blocks[-1][0]
+
+
+def test_power_and_cyclic_reduce_exhaustive():
+    # every reduced word of at most 4 blocks with exponents in {-2, -1, 1, 2}
+    words = [IDENTITY]
+    for count in range(1, 5):
+        for gens in ("uv", "vu"):
+            for exps in itertools.product((-2, -1, 1, 2), repeat=count):
+                words.append(Word(tuple((gens[i % 2], e) for i, e in enumerate(exps))))
+    assert len(words) == 681
+    for w in words:
+        core, conj = cyclic_reduce(w)
+        assert w.blocks[:len(conj.blocks)] == conj.blocks
+        assert concat(conj, core, invert(conj)) == w
+        assert len(core.blocks) < 2 or core.blocks[0][0] != core.blocks[-1][0]
+        for n in range(-4, 5):
+            base = w if n >= 0 else invert(w)
+            assert w ** n == concat(*[base] * abs(n)), (w, n)
 
 
 class TestConjugacy:

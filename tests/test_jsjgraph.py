@@ -25,9 +25,21 @@ class TestSlopePair:
         assert SlopePair.recip(2, 3) == SlopePair.recip(3, 2)
         assert hash(SlopePair.recip(2, 3)) == hash(SlopePair.recip(3, 2))
         assert SlopePair.recip(2, 3) != SlopePair.recip(2, 5)
+        assert SlopePair.recip(-2, 3) == SlopePair("recip", 3, -2)
+        assert hash(SlopePair.recip(-2, 3)) == hash(SlopePair("recip", 3, -2))
+        assert SlopePair.recip(-2, 3) != SlopePair.recip(2, 3)
+        assert SlopePair.recip(2, 3) != SlopePair.prod(2, 3)
 
     def test_prod_normalization(self):
         assert SlopePair.prod(0, 5) == SlopePair.prod(0, 1)
+        assert SlopePair.prod(-3, -2) == SlopePair.prod(3, 2)
+        assert str(SlopePair.prod(-6, -4)) == "prod:3/2"
+        assert str(SlopePair.prod(3, -2)) == "prod:-3/2"
+        assert str(SlopePair.recip(4, -6)) == "recip:-2/3"
+        assert SlopePair.prod(3, 2) != SlopePair.prod(2, 3)
+        assert parse_graph("node x ifibered\nnode s seifert\n"
+                           "edge a x s slope=prod:-3/-2").edges[0].slope \
+            == SlopePair.prod(3, 2)
         assert SlopePair.prod(0, 1).is_trivial
         assert not SlopePair.prod(3, 2).is_trivial
 
@@ -38,6 +50,12 @@ class TestSlopePair:
             SlopePair.prod(1, 2)
         with pytest.raises(ValueError):
             SlopePair("prod", 3, -2)
+        with pytest.raises(ValueError, match="^recip slope requires p\\*q != 0$"):
+            SlopePair.recip(3, 0)
+        with pytest.raises(ValueError, match="^prod slope requires q > 0$"):
+            SlopePair.prod(3, 0)
+        with pytest.raises(ValueError, match="^prod slope requires q > 0$"):
+            SlopePair.prod(0, 0)
 
 
 class TestStructure:
@@ -204,6 +222,9 @@ class TestTextFormat:
         ("edge a x y slope=prod:3/2 slope=prod:3/2", "line 3: repeated edge attribute 'slope'"),
         ("edge a x", "line 3: expected 'edge <id> <nodeA> <nodeB> "
                      "[label=<type>] [slope=<pair>]'"),
+        ("edge a x y label=9-9", "line 3: '9-9' is not a valid AnnulusType"),
+        ("edge a x y label", "line 3: '' is not a valid AnnulusType"),
+        ("node x", "line 3: expected 'node <id> ifibered|seifert|simple'"),
     ])
     def test_parse_error_messages(self, line, message):
         with pytest.raises(ValueError) as info:
