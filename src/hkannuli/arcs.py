@@ -45,6 +45,10 @@ from .freegroup import Word, concat
 
 ARC_SYMBOLS = ("Ce", "Co_hat", "v_hat", "s0")
 
+# Largest crossing count 2*|beta| + rho: the arc is walked one crossing at a
+# time, about a second at this size.
+CROSSING_BUDGET = 1_000_000
+
 
 def slope_is_valid(rho: int, beta: int) -> bool:
     return rho >= 0 and gcd(2 * rho, abs(2 * beta + 1)) == 1
@@ -139,6 +143,8 @@ def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
     if not slope_is_valid(rho, beta):
         raise ValueError(
             f"invalid slope: gcd(2*rho, |2*beta+1|) != 1 for rho={rho}, beta={beta}")
+    if 2 * abs(beta) + rho > CROSSING_BUDGET:
+        raise ValueError(f"crossing count 2*|beta| + rho must be at most {CROSSING_BUDGET}")
     d = abs(2 * beta + 1)
     row = ("s0p", 1 if beta >= 0 else -1)
     line: list[Tuple[str, int]] = []

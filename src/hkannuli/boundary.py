@@ -7,11 +7,11 @@ algebraic intersection of the meridian d_1 with the connector arc s, and
 half-boundary arcs.  In the basis u = [l_2], v = [l_0] of the handlebody
 group, the boundary of the n-th Moebius band is conjugate to
 
-    Alt_beta(v^q, u) * v^(q(n+mu)+delta) * Alt_beta(u^-1, v^-q) * u^(lambda+n)
+    front * v^(q(n+mu)+delta) * back * u^(lambda+n)
 
-for beta >= 0, with the alternating arguments swapped to (u, v^q) /
-(v^-q, u^-1) for beta < 0; the paired unit sequence is the one induced by
-the reference arc of slope 2*rho/(2*beta+1).
+with (front, back) = (A, A^-1), A = (v^q u)^beta, for beta >= 0 and
+(u^-1 A' v^q, v^q A'^-1 u^-1), A' = (v^q u)^(-beta-1), for beta < 0: the
+arc's d-crossing signs are constant, so rho enters only the validity check.
 """
 
 from __future__ import annotations
@@ -127,19 +127,19 @@ def k_minus_word(params: TypeKParams, lam_minus: int, mu_minus: int) -> Word:
 
 
 @lru_cache(maxsize=4096)
-def _alternating_pair(q: int, rho: int, beta: int) -> Tuple[Word, Word]:
-    seq, _ = arcs.reference_crossings(rho, beta)
+def _alternating_pair(q: int, beta: int) -> Tuple[Word, Word]:
+    """(A, A^-1), or (u^-1 A' v^q, v^q A'^-1 u^-1) when beta < 0."""
     vq = V ** q
     if beta >= 0:
-        return (arcs.alternating(seq, vq, U),
-                arcs.alternating(seq, U.inverse(), vq.inverse()))
-    return (arcs.alternating(seq, U, vq),
-            arcs.alternating(seq, vq.inverse(), U.inverse()))
+        front = concat(vq, U) ** beta
+        return front, front.inverse()
+    core = concat(vq, U) ** (-beta - 1)
+    return concat(U.inverse(), core, vq), concat(vq, core.inverse(), U.inverse())
 
 
 def boundary_word(params: TypeKParams, n: int) -> Word:
     """Conjugacy representative of the n-th Moebius band boundary."""
-    front, back = _alternating_pair(params.q, params.rho, params.beta)
+    front, back = _alternating_pair(params.q, params.beta)
     middle = generator("v", params.q * (n + params.mu) + params.delta)
     tail = generator("u", params.lam + n)
     return concat(front, middle, back, tail)

@@ -304,9 +304,14 @@ def graph_m() -> JsjGraph:
 def _parse_slope(token: str) -> SlopePair:
     form, _, frac = token.partition(":")
     num, _, den = frac.partition("/")
+    bad = ValueError(f"bad slope token {token!r}: expected prod:p/q or recip:p/q "
+                     "with integers p, q")
     if form not in ("prod", "recip") or not den:
-        raise ValueError(f"bad slope token {token!r}")
-    p, q = int(num), int(den)
+        raise bad
+    try:
+        p, q = int(num), int(den)
+    except ValueError:
+        raise bad from None
     return SlopePair.prod(p, q) if form == "prod" else SlopePair.recip(p, q)
 
 

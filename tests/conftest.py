@@ -9,7 +9,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 
-from hkannuli import boundary
+from hkannuli import arcs, boundary
 from hkannuli.freegroup import Word, parse_word, reduce as word_reduce
 
 # letter codes 0..3 = u, u^-1, v, v^-1; inverse flips the low bit
@@ -21,6 +21,12 @@ def word_strategy(max_blocks: int = 6, max_exp: int = 3):
     blocks = st.lists(st.tuples(st.sampled_from(["u", "v"]), exps),
                       max_size=max_blocks)
     return st.builds(word_reduce, blocks)
+
+
+def valid_slopes(max_rho, max_beta):
+    """Every valid (rho, beta) with rho <= max_rho and |beta| <= max_beta."""
+    return [(rho, beta) for beta in range(-max_beta, max_beta + 1)
+            for rho in range(max_rho + 1) if arcs.slope_is_valid(rho, beta)]
 
 
 def sample_typek_params(rng: random.Random,

@@ -5,11 +5,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import word_strategy
+from conftest import valid_slopes, word_strategy
 from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
                            SequenceExtension, _crossing_events, alternating, arc_word,
-                           crossing_duals, interpolating, reference_crossings,
-                           slope_is_valid)
+                           crossing_duals, interpolating, reference_crossings)
 from hkannuli.freegroup import IDENTITY, concat, format_word, invert, parse_word
 
 W = parse_word
@@ -41,13 +40,6 @@ def sorted_crossings(rho, beta):
     line.sort(key=lambda ev: ev[0])
     events = tuple((dual, sign) for _, dual, sign in line)
     return events if beta >= 0 else (("d_e", -1),) + events + (("d_o", 1),)
-
-
-def valid_slopes(max_rho, max_beta):
-    for beta in range(-max_beta, max_beta + 1):
-        for rho in range(0, max_rho + 1):
-            if slope_is_valid(rho, beta):
-                yield rho, beta
 
 
 class TestTypes:

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import letters, sample_typek_params
-from hkannuli import boundary
+from conftest import letters, sample_typek_params, valid_slopes
+from hkannuli import arcs, boundary
 from hkannuli.boundary import (ParamError, TypeKParams, boundary_word,
                                delta_claim_gamma, homology_class, k_minus_word,
                                k_plus_word, normalize_negative_beta,
@@ -13,6 +14,18 @@ from hkannuli.freegroup import (IDENTITY, U, V, are_conjugate, concat,
 
 W = parse_word
 FIVE_TWO = TypeKParams(p=2, q=1, delta=0, rho=0, beta=0, lam=1, mu=0)
+
+
+def arc_walked_pair(q, rho, beta):
+    """Reference: alternate v^q and u along the d-crossings of the reference
+    arc, with the arguments swapped for beta < 0."""
+    seq, _ = arcs.reference_crossings(rho, beta)
+    vq = V ** q
+    if beta >= 0:
+        return (arcs.alternating(seq, vq, U),
+                arcs.alternating(seq, U.inverse(), vq.inverse()))
+    return (arcs.alternating(seq, U, vq),
+            arcs.alternating(seq, vq.inverse(), U.inverse()))
 
 
 class TestValidation:
@@ -57,8 +70,31 @@ class TestBoundaryWord:
         params = validate_params(p=2, q=1, delta=0, rho=1, beta=2, lam=3, mu=3)
         n = -3
         assert params.q * (n + params.mu) + params.delta == 0
-        front, back = boundary._alternating_pair(params.q, params.rho, params.beta)
+        front, back = boundary._alternating_pair(params.q, params.beta)
         assert boundary_word(params, n) == concat(front, back)
+
+    def test_closed_form_pair_matches_arc_walk(self):
+        cases = [(q, rho, beta) for q in range(1, 9) for rho, beta in valid_slopes(39, 12)]
+        assert len(cases) == 6416
+        for q, rho, beta in cases:
+            assert boundary._alternating_pair(q, beta) == arc_walked_pair(q, rho, beta), \
+                (q, rho, beta)
+
+    def test_boundary_word_matches_arc_walk(self):
+        # p in {-3, -2, 2, 3} reaches every valid delta for q <= 4
+        connectors = set()
+        for q, p, delta, (rho, beta), lam, mu in itertools.product(
+                range(1, 5), (-3, -2, 2, 3), range(4), valid_slopes(3, 3),
+                range(-3, 4), range(-3, 4)):
+            if params_violations(p, q, delta, rho, beta, lam, mu):
+                continue
+            connectors.add((q, delta))
+            front, back = arc_walked_pair(q, rho, beta)
+            params = TypeKParams(p, q, delta, rho, beta, lam, mu)
+            for n in range(-3, 4):
+                expected = concat(front, V ** (q * (n + mu) + delta), back, U ** (lam + n))
+                assert boundary_word(params, n) == expected, (params, n)
+        assert connectors == {(1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)}
 
     def test_abelianization_against_letter_counting(self):
         rng = random.Random(11)

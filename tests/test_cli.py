@@ -162,6 +162,27 @@ def test_range_budget(capsys, command):
     assert (code, out, err) == (1, "", "error: span must be at most 100000\n")
 
 
+@pytest.mark.parametrize("rho, beta", [("1000001", "0"), ("999999", "-1")])
+def test_crossing_budget(capsys, rho, beta):
+    code, out, err = invoke(capsys, "arcs", "crossings", "--rho", rho, "--beta", beta)
+    assert (code, out, err) == (
+        1, "", "error: crossing count 2*|beta| + rho must be at most 1000000\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("boundary", "word", "--n", "3"),
+    ("classify", "type-k", "--range", "5"),
+], ids=["boundary-word", "type-k"])
+def test_rho_does_not_change_boundary_words(capsys, command):
+    outputs = []
+    for rho in ("1000000001", "1"):
+        code, out, _ = invoke(capsys, *command, "--p", "3", "--q", "2", "--delta", "1",
+                              "--rho", rho, "--beta", "0", "--lambda", "0", "--mu", "0")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_jsj_validate(tmp_path, capsys):
     clean = tmp_path / "clean.graph"
     clean.write_text("node x simple\n")

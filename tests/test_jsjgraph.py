@@ -225,6 +225,12 @@ class TestTextFormat:
         ("edge a x y label=9-9", "line 3: '9-9' is not a valid AnnulusType"),
         ("edge a x y label", "line 3: '' is not a valid AnnulusType"),
         ("node x", "line 3: expected 'node <id> ifibered|seifert|simple'"),
+        ("edge a x y slope=prod:3", "line 3: bad slope token 'prod:3': expected "
+                                    "prod:p/q or recip:p/q with integers p, q"),
+        ("edge a x y slope=prod:3/x", "line 3: bad slope token 'prod:3/x': expected "
+                                      "prod:p/q or recip:p/q with integers p, q"),
+        ("edge a x y slope=recip:a/2", "line 3: bad slope token 'recip:a/2': expected "
+                                       "prod:p/q or recip:p/q with integers p, q"),
     ])
     def test_parse_error_messages(self, line, message):
         with pytest.raises(ValueError) as info:
