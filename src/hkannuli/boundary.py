@@ -22,7 +22,12 @@ from math import gcd
 from typing import Optional, Tuple
 
 from . import arcs
-from .freegroup import IDENTITY, U, V, Word, concat, generator
+from .freegroup import U, V, Word, concat, generator
+
+
+# Largest |beta|: the alternating pair has 2|beta| blocks per side, and
+# `boundary word` prints all of them.
+BETA_BUDGET = 100_000
 
 
 class ParamError(ValueError):
@@ -89,22 +94,18 @@ def validate_params(p: int, q: int, delta: int, rho: int, beta: int,
     return TypeKParams(p, q, delta, rho, beta, lam, mu)
 
 
-def _default_images(params: TypeKParams, connector: Word) -> dict[str, Word]:
-    # l_2 -> u, l_1-hat -> v^q, the separating-disk loop dies in the
-    # handlebody group, and the connector arc contributes v^delta in total.
-    return {
-        "Ce": U,
-        "Co_hat": V ** params.q,
-        "v_hat": IDENTITY,
-        "s0": connector,
-    }
-
-
 def k_plus_word(params: TypeKParams, lam_plus: int, mu_plus: int) -> Word:
     """Word of the forward half-boundary arc with split twists
-    (lambda_plus, mu_plus); its connector image is the identity."""
-    coord = arcs.ArcCoordinate(params.rho, params.beta, lam_plus, mu_plus)
-    return arcs.arc_word(coord, _default_images(params, IDENTITY))
+    (lambda_plus, mu_plus):
+
+        Ce^lam_plus * Ahat_beta(Co_hat, Ce, v_hat) * Co_hat^mu_plus * s0
+
+    under l_2 -> u, l_1-hat -> v^q, v_hat -> 1 (the separating-disk loop
+    dies in the handlebody group) and the identity connector image.  With
+    v_hat dead the interpolating word is the front of the alternating pair.
+    """
+    front, _ = _alternating_pair(params.q, params.beta)
+    return concat(U ** lam_plus, front, V ** (params.q * mu_plus))
 
 
 def k_minus_word(params: TypeKParams, lam_minus: int, mu_minus: int) -> Word:
@@ -115,20 +116,22 @@ def k_minus_word(params: TypeKParams, lam_minus: int, mu_minus: int) -> Word:
         s0 * Co_hat^mu_minus * Ahat_beta(Ce^-1, Co_hat^-1, v_hat^-1) * Ce^lam_minus
 
     (arguments swapped to (Co_hat^-1, Ce^-1) when beta < 0).  The
-    connector image is v^delta."""
-    images = _default_images(params, V ** params.delta)
-    _, ext = arcs.reference_crossings(params.rho, params.beta)
-    ce, co, vh = images["Ce"], images["Co_hat"], images["v_hat"]
-    if params.beta >= 0:
-        middle = arcs.interpolating(ext, ce.inverse(), co.inverse(), vh.inverse())
-    else:
-        middle = arcs.interpolating(ext, co.inverse(), ce.inverse(), vh.inverse())
-    return concat(images["s0"], co ** mu_minus, middle, ce ** lam_minus)
+    connector image is v^delta, and the middle is the back of the
+    alternating pair."""
+    _, back = _alternating_pair(params.q, params.beta)
+    return concat(V ** (params.delta + params.q * mu_minus), back, U ** lam_minus)
+
+
+def check_beta_budget(beta: int) -> None:
+    """Reject |beta| above BETA_BUDGET, naming the budget."""
+    if abs(beta) > BETA_BUDGET:
+        raise ValueError(f"|beta| must be at most {BETA_BUDGET}")
 
 
 @lru_cache(maxsize=4096)
 def _alternating_pair(q: int, beta: int) -> Tuple[Word, Word]:
     """(A, A^-1), or (u^-1 A' v^q, v^q A'^-1 u^-1) when beta < 0."""
+    check_beta_budget(beta)
     vq = V ** q
     if beta >= 0:
         front = concat(vq, U) ** beta

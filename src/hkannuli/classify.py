@@ -8,6 +8,11 @@ cases takes geometric input (knot triviality, symmetry) outside this
 calculus, and the library only ships the known answers for the worked
 5_2 example as static data.
 
+The census decides the criterion for each n from the exponent data of the
+closed form A v^m A^-1 u^t of the boundary word (:func:`cho_koda_closed_form`)
+and builds explicit words only for the at most four n of the exclusion
+window, so a census of span s costs O(s) plus O(|beta|) per window entry.
+
 The type-M and type-S handlebody-knots have exactly two non-characteristic
 annuli and closed-form classifiers; the tangle-constructed knots feeding
 type 4-1 annuli are classified into two ambient graph shapes by the two
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from . import boundary
 from .boundary import TypeKParams
@@ -212,13 +217,42 @@ class CensusReport:
     total_non_certified: int
 
 
-# Largest census span: 2*span + 1 classifications, a few seconds at this size.
+# Largest census span: 2*span + 1 entries, well under a second at this size.
 SPAN_BUDGET = 100_000
+
+
+def cho_koda_closed_form(params: TypeKParams) -> Callable[[int], bool]:
+    """``n -> cho_koda_criterion(boundary_word(params, n))`` in O(1) per n.
+
+    beta < 0 is first rewritten in beta' >= 0 form; the words are
+    conjugate, and the criterion reads only the cyclic core.  With
+    A = (v^q u)^beta', m = q(n + mu') + delta and t = lambda' + n the word
+    is A v^m A^-1 u^t:
+
+    * beta' >= 1, m != 0, t != 0: A ends in u and A^-1 starts with u^-1, so
+      nothing cancels; the word starts with v^q and ends with u^t, so it is
+      cyclically reduced.  Its u-exponents are {1, -1, t} and its
+      v-exponents {q, m, -q} with q >= 1: both non-constant, so the criterion fires.
+    * beta' >= 1, m = 0 or t = 0: left to the word-level test.
+    * beta' = 0: the core is v^m u^t, one block of each generator, so the
+      criterion fires exactly when |m| > 1 and |t| > 1.
+    """
+    if params.beta < 0:
+        params, _ = boundary.normalize_negative_beta(params)
+    q, delta, lam, mu = params.q, params.delta, params.lam, params.mu
+    if params.beta == 0:
+        return lambda n: abs(q * (n + mu) + delta) > 1 and abs(lam + n) > 1
+    return lambda n: q * (n + mu) + delta != 0 and lam + n != 0
 
 
 def typeK_census(params: TypeKParams, span: int) -> CensusReport:
     """Classify every separating annulus with |n| <= span, cross-check the
     exclusion window, and account for the unique non-separating annulus.
+
+    :func:`cho_koda_closed_form` certifies every n it can from exponent
+    data alone; only the n it leaves, all inside :func:`non_type41_window`,
+    get an explicit word through :func:`classify_typeK_annulus`.  The cost
+    is O(span) plus O(|beta|) for each of those at most four n.
 
     The non-separating annulus has slope pair (p/q, pq) with p not in
     {0, +-1}; a nontrivial slope rules out type 3-3ii, so it is 3-3i.
@@ -227,10 +261,15 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError("span must be positive")
     if span > SPAN_BUDGET:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
+    boundary.check_beta_budget(params.beta)  # the loop may build no word at all
     window = non_type41_window(params)
+    fires = cho_koda_closed_form(params)
     entries = []
     inconclusive = []
     for n in range(-span, span + 1):
+        if fires(n):
+            entries.append(CensusEntry(n, Verdict.TYPE_4_1, "cho-koda"))
+            continue
         outcome = classify_typeK_annulus(params, n)
         if outcome.certified:
             evidence = outcome.criterion or ""
@@ -249,7 +288,7 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         window=window,
         entries=tuple(entries),
         inconclusive=tuple(inconclusive),
-        certified_count=sum(1 for e in entries if e.verdict is Verdict.TYPE_4_1),
+        certified_count=len(entries) - len(inconclusive),
         nonseparating_type=AnnulusType.T3_3i,
         total_non_certified=len(inconclusive) + 1,
     )

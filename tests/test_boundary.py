@@ -28,6 +28,26 @@ def arc_walked_pair(q, rho, beta):
             arcs.alternating(seq, vq.inverse(), U.inverse()))
 
 
+def arc_walked_k_plus(params, lam_plus, mu_plus):
+    """Reference: the forward arc word under l_2 -> u, l_1-hat -> v^q,
+    v_hat -> 1 and the identity connector image."""
+    coord = arcs.ArcCoordinate(params.rho, params.beta, lam_plus, mu_plus)
+    images = {"Ce": U, "Co_hat": V ** params.q, "v_hat": IDENTITY, "s0": IDENTITY}
+    return arcs.arc_word(coord, images)
+
+
+def arc_walked_k_minus(params, lam_minus, mu_minus):
+    """Reference: s0 * Co_hat^mu_minus * Ahat_beta(Ce^-1, Co_hat^-1, v_hat^-1)
+    * Ce^lam_minus with connector image v^delta, arguments swapped for beta < 0."""
+    _, ext = arcs.reference_crossings(params.rho, params.beta)
+    ce, co = U, V ** params.q
+    if params.beta >= 0:
+        middle = arcs.interpolating(ext, ce.inverse(), co.inverse(), IDENTITY)
+    else:
+        middle = arcs.interpolating(ext, co.inverse(), ce.inverse(), IDENTITY)
+    return concat(V ** params.delta, co ** mu_minus, middle, ce ** lam_minus)
+
+
 class TestValidation:
     def test_valid_examples(self):
         validate_params(p=3, q=2, delta=1, rho=0, beta=0, lam=0, mu=0)
@@ -118,6 +138,25 @@ class TestHalfBoundaryArcs:
         params = validate_params(p=3, q=2, delta=1, rho=2, beta=0, lam=0, mu=0)
         assert k_plus_word(params, 3, 1) == W("u^3 v^2")
 
+    def test_closed_form_matches_arc_walk(self):
+        # the words do not read p, and delta = q - 1 is a valid connector for every q
+        cases = 0
+        for q, (rho, beta) in itertools.product(range(1, 5), valid_slopes(12, 6)):
+            params = TypeKParams(q + 1, q, q - 1, rho, beta, 0, 0)
+            for a, b in itertools.product(range(-2, 3), repeat=2):
+                assert k_plus_word(params, a, b) == arc_walked_k_plus(params, a, b), \
+                    (params, a, b)
+                assert k_minus_word(params, a, b) == arc_walked_k_minus(params, a, b), \
+                    (params, a, b)
+                cases += 1
+        assert cases == 13400
+
+    def test_rho_beyond_crossing_budget(self):
+        far = validate_params(p=3, q=2, delta=1, rho=1_000_001, beta=1, lam=0, mu=0)
+        near = validate_params(p=3, q=2, delta=1, rho=1, beta=1, lam=0, mu=0)
+        assert k_plus_word(far, 0, 0) == k_plus_word(near, 0, 0) == W("v^2 u")
+        assert k_minus_word(far, 1, -1) == k_minus_word(near, 1, -1) == W("v^-1 u^-1 v^-2 u")
+
     def test_composite_matches_boundary_word(self):
         rng = random.Random(5)
         for _ in range(25):
@@ -138,6 +177,20 @@ class TestHalfBoundaryArcs:
         kp = k_plus_word(params, params.lam, 0)
         km = k_minus_word(params, 0, params.mu)
         assert are_conjugate(concat(kp, km), boundary_word(params, 0))
+
+
+class TestBetaBudget:
+    @pytest.mark.parametrize("beta", [100_001, -100_001])
+    def test_over_budget_rejected(self, beta):
+        params = validate_params(p=3, q=2, delta=1, rho=1, beta=beta, lam=0, mu=0)
+        for build in (lambda: boundary_word(params, 0), lambda: k_plus_word(params, 0, 0),
+                      lambda: k_minus_word(params, 0, 0)):
+            with pytest.raises(ValueError, match=r"^\|beta\| must be at most 100000$"):
+                build()
+
+    def test_at_budget(self):
+        params = validate_params(p=3, q=2, delta=1, rho=1, beta=-100_000, lam=0, mu=0)
+        assert len(boundary_word(params, 0).blocks) == 4 * 100_000 - 1
 
 
 class TestNormalization:

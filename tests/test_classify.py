@@ -1,14 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import sample_typek_params
 from hkannuli import boundary, classify
-from hkannuli.classify import (AnnulusType, EmGraph, EmParams, ExternalFactError,
-                               Verdict, classify_typeK_annulus, classify_typeM,
-                               classify_typeS, em_invariants, em_jsj_graph,
-                               five_two_report, non_type41_window, typeK_census)
-from hkannuli.freegroup import format_word
+from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
+                               ExternalFactError, Verdict, cho_koda_closed_form,
+                               classify_typeK_annulus, classify_typeM, classify_typeS,
+                               em_invariants, em_jsj_graph, five_two_report,
+                               non_type41_window, typeK_census)
+from hkannuli.freegroup import cho_koda_criterion, format_word
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
 
@@ -59,6 +61,77 @@ class TestWindow:
                     assert n in window, (params, n)
 
 
+def grid_families():
+    """Every valid family with q <= 6, |beta| <= 6 and lambda, mu in [-4, 4],
+    at every valid delta.  The words read neither p nor rho, which enter only
+    the validity check, so one admissible value of each stands for all:
+    p = -1/delta modulo q from [2, q + 1], and rho = 1, valid for every beta."""
+    for q in range(1, 7):
+        for delta in range(q):
+            p = next((p for p in range(2, q + 2) if (p * delta + 1) % q == 0), None)
+            if p is None:
+                continue
+            for beta, lam, mu in itertools.product(range(-6, 7), range(-4, 5), range(-4, 5)):
+                if not boundary.params_violations(p, q, delta, 1, beta, lam, mu):
+                    yield boundary.TypeKParams(p, q, delta, 1, beta, lam, mu)
+
+
+def reference_census(params, span):
+    """Entries and inconclusive n of the census, one word per n."""
+    entries, inconclusive = [], []
+    for n in range(-span, span + 1):
+        outcome = classify_typeK_annulus(params, n)
+        if outcome.certified:
+            evidence = outcome.criterion
+        else:
+            inconclusive.append(n)
+            evidence = str(outcome.witness)
+        entries.append(CensusEntry(n, outcome.verdict, evidence))
+    return tuple(entries), tuple(inconclusive)
+
+
+class TestClosedForm:
+    def test_matches_word_criterion_on_grid(self):
+        families = 0
+        for params in grid_families():
+            fires = cho_koda_closed_form(params)
+            for n in range(-12, 13):
+                word = boundary.boundary_word(params, n)
+                assert fires(n) == cho_koda_criterion(word), (params, n)
+            families += 1
+        assert families == 11172
+
+    def test_census_matches_per_n_reference(self):
+        rng = random.Random(41)
+        families = [FIVE_TWO] + [sample_typek_params(rng) for _ in range(150)]
+        families += [sample_typek_params(rng, beta_range=(-1, 0)) for _ in range(50)]
+        for params in families:
+            report = typeK_census(params, 30)
+            entries, inconclusive = reference_census(params, 30)
+            assert report.entries == entries, params
+            assert report.inconclusive == inconclusive, params
+            assert report.window == non_type41_window(params)
+            assert report.certified_count == len(entries) - len(inconclusive)
+
+    def test_words_built_only_inside_window(self, monkeypatch):
+        calls = []
+        per_n = classify.classify_typeK_annulus
+
+        def counted(params, n):
+            calls.append(n)
+            return per_n(params, n)
+
+        monkeypatch.setattr(classify, "classify_typeK_annulus", counted)
+        assert typeK_census(FIVE_TWO, 1000).inconclusive == (-2, -1, 0, 1)
+        assert calls == [-2, -1, 0, 1]
+        rng = random.Random(43)
+        for _ in range(100):
+            params = sample_typek_params(rng)
+            calls.clear()
+            typeK_census(params, 1000)
+            assert set(calls) <= set(non_type41_window(params)), params
+
+
 class TestCensus:
     def test_five_two_attains_bound(self):
         report = five_two_report(span=100)
@@ -79,6 +152,13 @@ class TestCensus:
             typeK_census(FIVE_TWO, 0)
         with pytest.raises(ValueError, match="^span must be at most 100000$"):
             typeK_census(FIVE_TWO, 100_001)
+
+    def test_beta_budget(self):
+        for beta in (100_001, -100_001):
+            params = boundary.validate_params(p=3, q=2, delta=1, rho=1, beta=beta,
+                                              lam=0, mu=0)
+            with pytest.raises(ValueError, match=r"^\|beta\| must be at most 100000$"):
+                typeK_census(params, 1)
 
     def test_known_types_table(self):
         assert classify.FIVE_TWO_KNOWN_TYPES == {

@@ -173,6 +173,17 @@ def test_crossing_budget(capsys, rho, beta):
     ("boundary", "word", "--n", "3"),
     ("classify", "type-k", "--range", "5"),
 ], ids=["boundary-word", "type-k"])
+@pytest.mark.parametrize("beta", ["100001", "-100001"])
+def test_beta_budget(capsys, command, beta):
+    code, out, err = invoke(capsys, *command, "--p", "3", "--q", "2", "--delta", "1",
+                            "--rho", "1", "--beta", beta, "--lambda", "0", "--mu", "0")
+    assert (code, out, err) == (1, "", "error: |beta| must be at most 100000\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("boundary", "word", "--n", "3"),
+    ("classify", "type-k", "--range", "5"),
+], ids=["boundary-word", "type-k"])
 def test_rho_does_not_change_boundary_words(capsys, command):
     outputs = []
     for rho in ("1000000001", "1"):
