@@ -18,7 +18,7 @@ from .classify import (AnnulusType, CensusReport, ClassificationOutcome, EmGraph
                        classify_typeM, classify_typeS, em_invariants, em_jsj_graph,
                        five_two_report, non_type41_window, typeK_census)
 from .freegroup import (Word, are_conjugate, cho_koda_criterion, concat, cyclic_reduce,
-                        format_word, invert, is_power_of_primitive, is_primitive,
+                        format_word, is_power_of_primitive, is_primitive,
                         parse_word, reduce, root)
 from .jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation, graph_k,
                        graph_m, parse_graph, slope_rules, trivial_graph, validate,

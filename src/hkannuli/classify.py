@@ -8,10 +8,10 @@ cases takes geometric input (knot triviality, symmetry) outside this
 calculus, and the library only ships the known answers for the worked
 5_2 example as static data.
 
-The census decides the criterion for each n from the exponent data of the
-closed form A v^m A^-1 u^t of the boundary word (:func:`cho_koda_closed_form`)
-and builds explicit words only for the at most four n of the exclusion
-window, so a census of span s costs O(s) plus O(|beta|) per window entry.
+The census certifies every n outside the exclusion window
+(:func:`non_type41_window`) without building its word, and builds explicit
+words only for the at most four n inside it, so a census of span s costs
+O(s) plus O(|beta|) per window entry.
 
 The type-M and type-S handlebody-knots have exactly two non-characteristic
 annuli and closed-form classifiers; the tangle-constructed knots feeding
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import boundary
 from .boundary import TypeKParams
@@ -80,13 +80,19 @@ def classify_typeK_annulus(params: TypeKParams, n: int) -> ClassificationOutcome
 
 
 def non_type41_window(params: TypeKParams) -> Tuple[int, ...]:
-    """Explicit finite exclusion set: every n outside it is certified.
+    """Explicit finite exclusion set: Cho-Koda certifies every n outside it.
 
-    beta < 0 is first rewritten in beta' >= 0 form (same n indexing, the
-    words are conjugate).  With mid(n) = q(n + mu') + delta:
+    beta < 0 is first rewritten in beta' >= 0 form (same n indexing; the
+    words are conjugate and the criterion reads only the cyclic core).  The
+    word is A v^m A^-1 u^t with A = (v^q u)^beta', m = q(n + mu') + delta
+    and t = lambda' + n:
 
-    * beta' > 0: { mid in {0, q} } union { lambda' + n in {0, 1} }
-    * beta' = 0: { |mid| <= 1 } union { |lambda' + n| <= 1 }
+    * beta' > 0: { m in {0, q} } union { t in {0, 1} }.  For m, t != 0
+      nothing cancels (A ends in u, A^-1 starts with u^-1) and the word,
+      from v^q to u^t, is cyclically reduced with u-exponents {1, -1, t} and
+      v-exponents {q, m, -q}: both non-constant, so the criterion fires.
+    * beta' = 0: { |m| <= 1 } union { |t| <= 1 }, exactly the n where the
+      core v^m u^t, one block of each generator, does not fire.
 
     Both sets have at most four elements: the first is empty or a pair for
     beta' > 0, and for beta' = 0 the two windows overlap because
@@ -221,38 +227,14 @@ class CensusReport:
 SPAN_BUDGET = 100_000
 
 
-def cho_koda_closed_form(params: TypeKParams) -> Callable[[int], bool]:
-    """``n -> cho_koda_criterion(boundary_word(params, n))`` in O(1) per n.
-
-    beta < 0 is first rewritten in beta' >= 0 form; the words are
-    conjugate, and the criterion reads only the cyclic core.  With
-    A = (v^q u)^beta', m = q(n + mu') + delta and t = lambda' + n the word
-    is A v^m A^-1 u^t:
-
-    * beta' >= 1, m != 0, t != 0: A ends in u and A^-1 starts with u^-1, so
-      nothing cancels; the word starts with v^q and ends with u^t, so it is
-      cyclically reduced.  Its u-exponents are {1, -1, t} and its
-      v-exponents {q, m, -q} with q >= 1: both non-constant, so the criterion fires.
-    * beta' >= 1, m = 0 or t = 0: left to the word-level test.
-    * beta' = 0: the core is v^m u^t, one block of each generator, so the
-      criterion fires exactly when |m| > 1 and |t| > 1.
-    """
-    if params.beta < 0:
-        params, _ = boundary.normalize_negative_beta(params)
-    q, delta, lam, mu = params.q, params.delta, params.lam, params.mu
-    if params.beta == 0:
-        return lambda n: abs(q * (n + mu) + delta) > 1 and abs(lam + n) > 1
-    return lambda n: q * (n + mu) + delta != 0 and lam + n != 0
-
-
 def typeK_census(params: TypeKParams, span: int) -> CensusReport:
-    """Classify every separating annulus with |n| <= span, cross-check the
-    exclusion window, and account for the unique non-separating annulus.
+    """Classify every separating annulus with |n| <= span and account for
+    the unique non-separating annulus.
 
-    :func:`cho_koda_closed_form` certifies every n it can from exponent
-    data alone; only the n it leaves, all inside :func:`non_type41_window`,
-    get an explicit word through :func:`classify_typeK_annulus`.  The cost
-    is O(span) plus O(|beta|) for each of those at most four n.
+    Every n outside :func:`non_type41_window` is certified by Cho-Koda
+    without building its word; only the at most four n inside it go through
+    :func:`classify_typeK_annulus`.  The cost is O(span) plus O(|beta|) for
+    each of those.
 
     The non-separating annulus has slope pair (p/q, pq) with p not in
     {0, +-1}; a nontrivial slope rules out type 3-3ii, so it is 3-3i.
@@ -263,23 +245,19 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
     boundary.check_beta_budget(params.beta)  # the loop may build no word at all
     window = non_type41_window(params)
-    fires = cho_koda_closed_form(params)
     entries = []
     inconclusive = []
     for n in range(-span, span + 1):
-        if fires(n):
+        if n not in window:
             entries.append(CensusEntry(n, Verdict.TYPE_4_1, "cho-koda"))
             continue
         outcome = classify_typeK_annulus(params, n)
         if outcome.certified:
-            evidence = outcome.criterion or ""
+            evidence = outcome.criterion
         else:
             inconclusive.append(n)
             evidence = str(outcome.witness)
         entries.append(CensusEntry(n, outcome.verdict, evidence))
-    stray = [n for n in inconclusive if n not in window]
-    if stray:  # the window must dominate the inconclusive set
-        raise AssertionError(f"inconclusive n outside the exclusion window: {stray}")
     if len(inconclusive) > 4:
         raise AssertionError("more than four inconclusive separating annuli")
     return CensusReport(

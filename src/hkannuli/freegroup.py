@@ -113,10 +113,6 @@ def concat(*words: Word) -> Word:
     return reduce(blocks)
 
 
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     """Split ``w = conjugator * core * conjugator^-1`` with a cyclically
     reduced core (first and last blocks cannot merge); the conjugator is a
@@ -256,12 +252,25 @@ def cho_koda_criterion(w: Word) -> bool:
 
 _TOKEN = re.compile(r"\s*([uvUV])(?:\^(-?\d+))?\s*")
 
+# Most digits an integer in word or graph text may have: CPython's lowest
+# settable int/str conversion limit, so PYTHONINTMAXSTRDIGITS cannot move it.
+DIGIT_BUDGET = 640
+_DIGIT_LIMIT = 10 ** DIGIT_BUDGET
+_DIGIT_ERROR = f"integers must have at most {DIGIT_BUDGET} digits"
+
+
+def check_digit_budget(*texts: str) -> None:
+    """Refuse integer texts past :data:`DIGIT_BUDGET` digits before ``int`` reads them."""
+    if any(sum(map(str.isdigit, text)) > DIGIT_BUDGET for text in texts):
+        raise ValueError(_DIGIT_ERROR)
+
 
 def parse_word(text: str) -> Word:
     """Parse the u/v/U/V text syntax; ``1`` denotes the identity."""
     stripped = text.strip()
     if stripped == "1" or stripped == "":
         return IDENTITY
+    check_digit_budget(*re.findall(r"\d+", stripped))  # every exponent is such a run
     blocks: list[Block] = []
     pos = 0
     while pos < len(stripped):
@@ -275,7 +284,10 @@ def parse_word(text: str) -> Word:
             exp = -exp
         blocks.append((gen, exp))
         pos = match.end()
-    return reduce(blocks)
+    word = reduce(blocks)
+    if any(abs(exp) >= _DIGIT_LIMIT for _, exp in word.blocks):
+        raise ValueError(_DIGIT_ERROR)  # merged blocks, as in u^9...9 u^9...9
+    return word
 
 
 def format_word(w: Word) -> str:

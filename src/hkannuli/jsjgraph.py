@@ -23,6 +23,7 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .classify import AnnulusType
+from .freegroup import check_digit_budget
 
 
 class NodeKind(str, enum.Enum):
@@ -308,6 +309,7 @@ def _parse_slope(token: str) -> SlopePair:
                      "with integers p, q")
     if form not in ("prod", "recip") or not den:
         raise bad
+    check_digit_budget(num, den)
     try:
         p, q = int(num), int(den)
     except ValueError:

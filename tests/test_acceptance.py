@@ -13,7 +13,7 @@ from conftest import (cyclically_reduced_classes, sample_typek_params,
 from hkannuli import arcs, boundary, classify
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import (U, V, cho_koda_criterion, concat, format_word,
-                                invert, is_power_of_primitive, parse_word)
+                                is_power_of_primitive, parse_word)
 from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, trivial_graph, validate)
 from hkannuli.tangle import RationalTangle, cf_eval, is_integral
 
@@ -99,7 +99,7 @@ def test_criterion_5_interpolating_anchors():
         _, ext0 = arcs.reference_crossings(rho, 0)
         assert arcs.interpolating(ext0, x, y, z) == z ** rho
         _, ext1 = arcs.reference_crossings(rho, -1)
-        assert arcs.interpolating(ext1, x, y, z) == concat(invert(x), z ** -rho, y)
+        assert arcs.interpolating(ext1, x, y, z) == concat(x.inverse(), z ** -rho, y)
     for beta in range(-5, 0):
         for rho in range(0, 51):
             if not arcs.slope_is_valid(rho, beta):
@@ -121,7 +121,7 @@ def test_criterion_6_negative_beta_normalization():
         for n in range(-5, 6):
             before = boundary.boundary_word(params, n)
             after = boundary.boundary_word(normalized, n)
-            assert before == concat(witness, after, invert(witness))
+            assert before == concat(witness, after, witness.inverse())
     _report(6, "200 negative-beta families conjugate to their normalized "
                "forms for n in [-5, 5]", started)
 

@@ -9,7 +9,7 @@ from conftest import valid_slopes, word_strategy
 from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
                            SequenceExtension, _crossing_events, alternating, arc_word,
                            crossing_duals, interpolating, reference_crossings)
-from hkannuli.freegroup import IDENTITY, concat, format_word, invert, parse_word
+from hkannuli.freegroup import IDENTITY, concat, format_word, parse_word
 
 W = parse_word
 
@@ -150,7 +150,7 @@ class TestWordFunctions:
             _, ext0 = reference_crossings(rho, 0)
             assert interpolating(ext0, x, y, z) == z ** rho
             _, ext1 = reference_crossings(rho, -1)
-            assert interpolating(ext1, x, y, z) == concat(invert(x), z ** -rho, y)
+            assert interpolating(ext1, x, y, z) == concat(x.inverse(), z ** -rho, y)
 
     def test_zetas(self):
         _, ext = reference_crossings(1, -2)

@@ -6,10 +6,10 @@ import pytest
 from conftest import sample_typek_params
 from hkannuli import boundary, classify
 from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
-                               ExternalFactError, Verdict, cho_koda_closed_form,
-                               classify_typeK_annulus, classify_typeM, classify_typeS,
-                               em_invariants, em_jsj_graph, five_two_report,
-                               non_type41_window, typeK_census)
+                               ExternalFactError, Verdict, classify_typeK_annulus,
+                               classify_typeM, classify_typeS, em_invariants,
+                               em_jsj_graph, five_two_report, non_type41_window,
+                               typeK_census)
 from hkannuli.freegroup import cho_koda_criterion, format_word
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
@@ -91,13 +91,16 @@ def reference_census(params, span):
 
 
 class TestClosedForm:
-    def test_matches_word_criterion_on_grid(self):
+    def test_window_sound_on_grid(self):
+        """Exhaustive on the grid: every n outside the window fires the
+        word-level Cho-Koda criterion, the evidence the census records there."""
         families = 0
         for params in grid_families():
-            fires = cho_koda_closed_form(params)
+            window = non_type41_window(params)
+            assert len(window) <= 4, params
             for n in range(-12, 13):
-                word = boundary.boundary_word(params, n)
-                assert fires(n) == cho_koda_criterion(word), (params, n)
+                if n not in window:
+                    assert cho_koda_criterion(boundary.boundary_word(params, n)), (params, n)
             families += 1
         assert families == 11172
 
@@ -129,7 +132,15 @@ class TestClosedForm:
             params = sample_typek_params(rng)
             calls.clear()
             typeK_census(params, 1000)
-            assert set(calls) <= set(non_type41_window(params)), params
+            in_span = [n for n in non_type41_window(params) if -1000 <= n <= 1000]
+            assert calls == in_span, params
+        # a window reaching past the span: only the n inside it get a word
+        calls.clear()
+        report = typeK_census(FIVE_TWO, 1)
+        assert calls == [-1, 0, 1]
+        assert report.window == (-2, -1, 0, 1)
+        assert report.inconclusive == (-1, 0, 1)
+        assert (report.entries, report.inconclusive) == reference_census(FIVE_TWO, 1)
 
 
 class TestCensus:

@@ -162,6 +162,15 @@ def test_range_budget(capsys, command):
     assert (code, out, err) == (1, "", "error: span must be at most 100000\n")
 
 
+def test_digit_budget(tmp_path, capsys):
+    reason = "integers must have at most 640 digits"
+    digits = "9" * 641
+    assert invoke(capsys, "word", "power", f"u^{digits}") == (1, "", f"error: {reason}\n")
+    path = tmp_path / "huge.graph"
+    path.write_text(f"node x ifibered\nnode s seifert\nedge a x s slope=prod:{digits}/1\n")
+    assert invoke(capsys, "jsj", "validate", str(path)) == (1, "", f"error: line 3: {reason}\n")
+
+
 @pytest.mark.parametrize("rho, beta", [("1000001", "0"), ("999999", "-1")])
 def test_crossing_budget(capsys, rho, beta):
     code, out, err = invoke(capsys, "arcs", "crossings", "--rho", rho, "--beta", beta)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 
 from conftest import (cyclically_reduced_classes, oracle_is_primitive,
                       word_from_codes, word_strategy)
-from hkannuli.freegroup import (IDENTITY, Word, _conjugacy_key, are_conjugate,
-                                cho_koda_criterion, concat, cyclic_reduce,
-                                format_word, invert, is_power_of_primitive,
+from hkannuli.freegroup import (DIGIT_BUDGET, IDENTITY, Word, _conjugacy_key,
+                                are_conjugate, cho_koda_criterion, concat,
+                                cyclic_reduce, format_word, is_power_of_primitive,
                                 is_primitive, parse_word, reduce, root)
 from math import gcd
 
@@ -34,11 +34,11 @@ class TestReduce:
 class TestGroupOps:
     def test_concat_examples(self):
         assert concat(W("u v"), W("V u")) == W("u^2")
-        assert invert(W("v^2 u^3")) == W("u^-3 v^-2")
+        assert W("v^2 u^3").inverse() == W("u^-3 v^-2")
 
     @given(word_strategy())
     def test_inverse_cancels(self, w):
-        assert concat(w, invert(w)) == IDENTITY
+        assert concat(w, w.inverse()) == IDENTITY
 
     @given(word_strategy(), word_strategy(), word_strategy())
     def test_associative(self, a, b, c):
@@ -50,7 +50,7 @@ class TestGroupOps:
         for k in range(5):
             assert w ** k == acc
             acc = concat(acc, w)
-        assert w ** -3 == invert(w ** 3)
+        assert w ** -3 == (w ** 3).inverse()
 
 
 class TestCyclicReduce:
@@ -66,7 +66,7 @@ class TestCyclicReduce:
     @given(word_strategy())
     def test_reconstructs_and_core_is_cyclically_reduced(self, w):
         core, conj = cyclic_reduce(w)
-        assert concat(conj, core, invert(conj)) == w
+        assert concat(conj, core, conj.inverse()) == w
         blocks = core.blocks
         if len(blocks) >= 2:
             assert blocks[0][0] != blocks[-1][0]
@@ -83,10 +83,10 @@ def test_power_and_cyclic_reduce_exhaustive():
     for w in words:
         core, conj = cyclic_reduce(w)
         assert w.blocks[:len(conj.blocks)] == conj.blocks
-        assert concat(conj, core, invert(conj)) == w
+        assert concat(conj, core, conj.inverse()) == w
         assert len(core.blocks) < 2 or core.blocks[0][0] != core.blocks[-1][0]
         for n in range(-4, 5):
-            base = w if n >= 0 else invert(w)
+            base = w if n >= 0 else w.inverse()
             assert w ** n == concat(*[base] * abs(n)), (w, n)
 
 
@@ -98,7 +98,7 @@ class TestConjugacy:
 
     @given(word_strategy(), word_strategy())
     def test_conjugation(self, w, g):
-        assert are_conjugate(w, concat(g, w, invert(g)))
+        assert are_conjugate(w, concat(g, w, g.inverse()))
 
     def test_cyclic_word_equality_and_hash(self):
         # the conjugacy key stands for a cyclic word: equal, with equal
@@ -177,15 +177,15 @@ class TestPrimitivity:
     @given(word_strategy(max_blocks=4, max_exp=2), word_strategy(max_blocks=3, max_exp=2))
     @settings(max_examples=60)
     def test_conjugation_and_inversion_invariance(self, w, g):
-        conjugated = concat(g, w, invert(g))
-        assert is_primitive(w) == is_primitive(conjugated) == is_primitive(invert(w))
+        conjugated = concat(g, w, g.inverse())
+        assert is_primitive(w) == is_primitive(conjugated) == is_primitive(w.inverse())
         if not w.is_identity:
             assert (is_power_of_primitive(w)
                     == is_power_of_primitive(conjugated)
-                    == is_power_of_primitive(invert(w)))
+                    == is_power_of_primitive(w.inverse()))
         assert (cho_koda_criterion(w)
                 == cho_koda_criterion(conjugated)
-                == cho_koda_criterion(invert(w)))
+                == cho_koda_criterion(w.inverse()))
 
 
 class TestPowerOfPrimitive:
@@ -240,4 +240,29 @@ class TestTextSyntax:
 
     @given(word_strategy())
     def test_round_trip(self, w):
+        assert parse_word(format_word(w)) == w
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_digit_budget(self, sign):
+        at_budget = "9" * DIGIT_BUDGET
+        assert parse_word(f"u^{sign}{at_budget}") == Word((("u", int(sign + at_budget)),))
+        for text in (f"u^{sign}{at_budget}9", f"v^{sign}" + "9" * 5000,
+                     f"u^{sign}{at_budget} u^{sign}{at_budget}"):  # merged past it
+            with pytest.raises(ValueError, match="^integers must have at most 640 digits$"):
+                parse_word(text)
+
+    @given(st.lists(st.builds("{}{}".format, st.sampled_from("uvUV"), st.one_of(
+               st.just(""), st.integers(-10 ** 12, 10 ** 12).map("^{}".format))), max_size=8),
+           st.text("uvUV^- 0123456789", max_size=3), st.integers(0, 8),
+           st.sampled_from(["", " "]))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_parse_word(self, tokens, noise, at, sep):
+        """Text over the grammar's alphabet parses to a word that round-trips
+        through format_word, or is refused with ValueError."""
+        tokens.insert(at, noise)  # at most one piece off the grammar
+        text = sep.join(tokens)
+        try:
+            w = parse_word(text)
+        except ValueError:
+            return
         assert parse_word(format_word(w)) == w

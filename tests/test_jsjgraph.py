@@ -1,13 +1,28 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hkannuli.classify import AnnulusType
+from hkannuli.freegroup import DIGIT_BUDGET
 from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, graph_k,
                                graph_m, parse_graph, realizability_warnings,
                                slope_rules, trivial_graph, validate,
                                validate_labels, validate_slopes,
                                validate_structure)
+
+
+GRAPH_IDS = st.sampled_from(["x", "y", "a", "b"])
+GRAPH_NODE_LINES = st.builds("node {} {}".format, GRAPH_IDS,
+                             st.sampled_from(["ifibered", "seifert", "simple"]))
+GRAPH_EDGE_LINES = st.builds(
+    "edge {} {} {}{}{}".format, GRAPH_IDS, GRAPH_IDS, GRAPH_IDS,
+    st.sampled_from(["", " label=3-3i", " label=3-3ii", " label=2-2", " label=4-1"]),
+    st.one_of(st.just(""), st.builds(" slope={}:{}/{}".format, st.sampled_from(["prod", "recip"]),
+                                     st.integers(-12, 12), st.integers(-12, 12))))
+GRAPH_TOKENS = ["node", "edge", "x", "y", "seifert", "simple", "#", "label=", "label=9",
+                "slope=", "slope=prod:", "recip:3", "/", "-", "2", "=", ":"]
 
 
 def hub_graph(*edges: Edge, extra_nodes=()) -> JsjGraph:
@@ -236,3 +251,29 @@ class TestTextFormat:
         with pytest.raises(ValueError) as info:
             parse_graph("node x simple\nnode y seifert\n" + line)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("form", ["prod:{}/1", "prod:-{}/1", "recip:2/{}"])
+    def test_slope_digit_budget(self, form):
+        nodes = "node x simple\nnode y seifert\n"
+        at_budget = "9" * DIGIT_BUDGET
+        graph = parse_graph(nodes + "edge a x y slope=" + form.format(at_budget))
+        assert str(graph.edges[0].slope) == form.format(at_budget)
+        for digits in (at_budget + "9", "9" * 5000):
+            with pytest.raises(ValueError,
+                               match="^line 3: integers must have at most 640 digits$"):
+                parse_graph(nodes + "edge a x y slope=" + form.format(digits))
+
+    @given(st.lists(st.one_of(GRAPH_NODE_LINES, GRAPH_EDGE_LINES), max_size=5),
+           st.lists(st.sampled_from(GRAPH_TOKENS), max_size=4).map(" ".join),
+           st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_parse_graph(self, lines, noise, at):
+        """Text over the file format's tokens parses to a graph that validates
+        without raising, or is refused with ValueError."""
+        lines.insert(at, noise)  # at most one line off the grammar
+        text = "\n".join(lines)
+        try:
+            graph = parse_graph(text)
+        except ValueError:
+            return
+        assert isinstance(validate(graph), list)
