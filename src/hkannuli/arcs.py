@@ -73,16 +73,13 @@ class ArcCoordinate:
 
 @dataclass(frozen=True)
 class PairedUnitSequence:
-    """+-1 sequence of length 2*tau recording the d-arc crossings."""
+    """+-1 sequence of even length 2*tau recording the d-arc crossings."""
 
-    tau: int
     entries: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
-        if len(self.entries) != 2 * self.tau:
-            raise ValueError("a paired unit sequence has exactly 2*tau entries")
+        if len(self.entries) % 2:
+            raise ValueError("a paired unit sequence has even length")
         if any(e not in (1, -1) for e in self.entries):
             raise ValueError("entries must be +1 or -1")
 
@@ -91,29 +88,26 @@ class PairedUnitSequence:
 class SequenceExtension:
     """Extension of a paired unit sequence by interpolated crossings.
 
-    ``entries`` has length sigma >= 2*tau and ``kappa`` (1-based, strictly
-    increasing) locates the base entries inside it.
+    ``kappa`` (1-based, strictly increasing, of even length) locates the
+    base entries inside ``entries``; the base is read off along it.
     """
 
-    base: PairedUnitSequence
     entries: Tuple[int, ...]
     kappa: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sigma = len(self.entries)
-        if sigma < 2 * self.base.tau:
-            raise ValueError("extension shorter than its base")
         if any(e not in (1, -1) for e in self.entries):
             raise ValueError("entries must be +1 or -1")
-        if len(self.kappa) != 2 * self.base.tau:
-            raise ValueError("kappa must place every base entry")
+        if len(self.kappa) % 2:
+            raise ValueError("kappa must have even length")
         if any(k2 <= k1 for k1, k2 in zip(self.kappa, self.kappa[1:])):
             raise ValueError("kappa must be strictly increasing")
-        if any(not 1 <= k <= sigma for k in self.kappa):
+        if any(not 1 <= k <= self.sigma for k in self.kappa):
             raise ValueError("kappa out of range")
-        if any(self.entries[k - 1] != self.base.entries[i]
-               for i, k in enumerate(self.kappa)):
-            raise ValueError("extension disagrees with base along kappa")
+
+    @property
+    def base(self) -> PairedUnitSequence:
+        return PairedUnitSequence(tuple(self.entries[k - 1] for k in self.kappa))
 
     @property
     def sigma(self) -> int:
@@ -129,7 +123,8 @@ class SequenceExtension:
         )
 
 
-@lru_cache(maxsize=4096)
+# One (rho, beta) per call; an entry near the crossing budget holds megabytes.
+@lru_cache(maxsize=1)
 def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
     """Ordered (dual, sign) crossings of the reference-arc lift.
 
@@ -173,8 +168,8 @@ def reference_crossings(rho: int, beta: int) -> Tuple[PairedUnitSequence, Sequen
     events = _crossing_events(rho, beta)
     entries = tuple(sign for _, sign in events)
     kappa = tuple(i + 1 for i, (dual, _) in enumerate(events) if dual != "s0p")
-    base = PairedUnitSequence(abs(beta), tuple(entries[k - 1] for k in kappa))
-    return base, SequenceExtension(base, entries, kappa)
+    ext = SequenceExtension(entries, kappa)
+    return ext.base, ext
 
 
 def crossing_duals(rho: int, beta: int) -> Tuple[str, ...]:

@@ -128,7 +128,8 @@ def check_beta_budget(beta: int) -> None:
         raise ValueError(f"|beta| must be at most {BETA_BUDGET}")
 
 
-@lru_cache(maxsize=4096)
+# One (q, beta) per census; an entry near the beta budget holds megabytes.
+@lru_cache(maxsize=1)
 def _alternating_pair(q: int, beta: int) -> Tuple[Word, Word]:
     """(A, A^-1), or (u^-1 A' v^q, v^q A'^-1 u^-1) when beta < 0."""
     check_beta_budget(beta)

@@ -64,13 +64,22 @@ class ClassificationOutcome:
     def certified(self) -> bool:
         return self.verdict is Verdict.TYPE_4_1
 
+    @property
+    def evidence(self) -> str:
+        """The criterion that fired, or the witness word as text."""
+        return self.criterion if self.certified else str(self.witness)
+
+
+# The outcome of every n outside the exclusion window, shared by the census.
+CHO_KODA = ClassificationOutcome(Verdict.TYPE_4_1, criterion="cho-koda")
+
 
 def classify_typeK_annulus(params: TypeKParams, n: int) -> ClassificationOutcome:
     """Certify the n-th separating annulus as type 4-1 when its boundary
     word is provably not a power of a primitive element."""
     word = boundary.boundary_word(params, n)
     if cho_koda_criterion(word):
-        return ClassificationOutcome(Verdict.TYPE_4_1, criterion="cho-koda")
+        return CHO_KODA
     if word.is_identity:
         return ClassificationOutcome(Verdict.INCONCLUSIVE, witness=IDENTITY)
     r, _ = root(word)
@@ -207,14 +216,12 @@ def em_jsj_graph(e: EmParams, side: str) -> EmGraph:
 @dataclass(frozen=True)
 class CensusEntry:
     n: int
-    verdict: Verdict
-    evidence: str
+    outcome: ClassificationOutcome
 
 
 @dataclass(frozen=True)
 class CensusReport:
     params: TypeKParams
-    span: int
     window: Tuple[int, ...]
     entries: Tuple[CensusEntry, ...]
     inconclusive: Tuple[int, ...]
@@ -243,29 +250,19 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError("span must be positive")
     if span > SPAN_BUDGET:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
-    boundary.check_beta_budget(params.beta)  # the loop may build no word at all
+    boundary.check_beta_budget(params.beta)  # the census may build no word at all
     window = non_type41_window(params)
-    entries = []
-    inconclusive = []
-    for n in range(-span, span + 1):
-        if n not in window:
-            entries.append(CensusEntry(n, Verdict.TYPE_4_1, "cho-koda"))
-            continue
-        outcome = classify_typeK_annulus(params, n)
-        if outcome.certified:
-            evidence = outcome.criterion
-        else:
-            inconclusive.append(n)
-            evidence = str(outcome.witness)
-        entries.append(CensusEntry(n, outcome.verdict, evidence))
+    outcomes = {n: classify_typeK_annulus(params, n) for n in window if -span <= n <= span}
+    entries = tuple(CensusEntry(n, outcomes.get(n, CHO_KODA))
+                    for n in range(-span, span + 1))
+    inconclusive = tuple(n for n, outcome in outcomes.items() if not outcome.certified)
     if len(inconclusive) > 4:
         raise AssertionError("more than four inconclusive separating annuli")
     return CensusReport(
         params=params,
-        span=span,
         window=window,
-        entries=tuple(entries),
-        inconclusive=tuple(inconclusive),
+        entries=entries,
+        inconclusive=inconclusive,
         certified_count=len(entries) - len(inconclusive),
         nonseparating_type=AnnulusType.T3_3i,
         total_non_certified=len(inconclusive) + 1,

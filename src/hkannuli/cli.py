@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from . import arcs, boundary, classify, jsjgraph, tangle
 from .boundary import ParamError
-from .freegroup import (are_conjugate, format_word, is_power_of_primitive,
-                        is_primitive, parse_word)
+from .freegroup import (are_conjugate, check_digit_budget, format_word,
+                        is_power_of_primitive, is_primitive, parse_word)
 
 # Each handler returns (inputs, result, text lines, warnings); ``run``
 # builds the report from them and writes it as JSON or as the lines.
@@ -72,8 +72,8 @@ def _census_payload(report: classify.CensusReport) -> dict:
                    "beta": report.params.beta, "lambda": report.params.lam,
                    "mu": report.params.mu},
         "window": list(report.window),
-        "per_n": [{"n": e.n, "verdict": e.verdict.value, "evidence": e.evidence}
-                  for e in report.entries],
+        "per_n": [{"n": e.n, "verdict": e.outcome.verdict.value,
+                   "evidence": e.outcome.evidence} for e in report.entries],
         "totals": {
             "certified": report.certified_count,
             "inconclusive_separating": len(report.inconclusive),
@@ -159,7 +159,17 @@ def _cmd_example_five_two(args: argparse.Namespace):
 
 # -- parser ------------------------------------------------------------------
 
-_INT = {"type": int, "required": True}
+def _int(text: str) -> int:
+    """``int`` under the digit budget, which PYTHONINTMAXSTRDIGITS cannot move."""
+    try:
+        check_digit_budget(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names it in "invalid int value: ..."
+_INT = {"type": _int, "required": True}
 _TYPEK = tuple((flag, _INT) for flag in
                ("--p", "--q", "--delta", "--rho", "--beta", "--lambda", "--mu"))
 
@@ -168,7 +178,7 @@ _TYPEK = tuple((flag, _INT) for flag in
 _COMMANDS = {
     "tangle": ("rational tangle arithmetic", {
         "eval": ("evaluate a continued fraction", _cmd_tangle_eval, (
-            ("twists", {"nargs": "+", "type": int, "metavar": "a"}),
+            ("twists", {"nargs": "+", "type": _int, "metavar": "a"}),
             ("--convention", {"choices": tangle.CONVENTIONS, "default": "literal"}))),
     }),
     "arcs": ("arc crossing sequences", {
@@ -198,7 +208,7 @@ _COMMANDS = {
     }),
     "example": ("worked examples", {
         "five-two": (None, _cmd_example_five_two,
-                     (("--range", {"type": int, "default": 100}),)),
+                     (("--range", {"type": _int, "default": 100}),)),
     }),
 }
 

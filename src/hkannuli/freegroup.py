@@ -193,10 +193,11 @@ _WHITEHEAD_MAPS: Tuple[Mapping[str, Word], ...] = _whitehead_maps()
 
 def whitehead_minimize(w: Word) -> Word:
     """Greedy descent: apply rank-2 Whitehead automorphisms while the
-    cyclic length strictly decreases; returns a minimal cyclic core."""
+    cyclic length strictly decreases; returns a minimal cyclic core.  A
+    one-block core g^e is already minimal: no type-II map shortens it."""
     current, _ = cyclic_reduce(w)
     improved = True
-    while improved and current.length() > 1:
+    while improved and len(current.blocks) > 1:
         improved = False
         for images in _WHITEHEAD_MAPS:
             candidate, _ = cyclic_reduce(apply_endomorphism(current, images))

@@ -120,7 +120,6 @@ class Edge:
 class JsjGraph:
     nodes: Tuple[Tuple[str, NodeKind], ...]
     edges: Tuple[Edge, ...] = ()
-    description: str = ""
 
     def bigon_groups(self) -> list[list[Edge]]:
         """Groups of >= 2 parallel non-loop edges (same endpoint pair)."""
@@ -129,13 +128,6 @@ class JsjGraph:
             if not edge.is_loop:
                 groups.setdefault(edge.endpoints, []).append(edge)
         return [g for g in groups.values() if len(g) >= 2]
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    lemma: str
-    subject: str
 
 
 _LAWS = {
@@ -155,42 +147,48 @@ _LAWS = {
 }
 
 
-def _violation(rule: str, subject: str) -> Violation:
-    return Violation(rule, _LAWS[rule], subject)
+@dataclass(frozen=True)
+class Violation:
+    rule: str
+    subject: str
+
+    @property
+    def lemma(self) -> str:
+        return _LAWS[self.rule]
 
 
 def validate_structure(graph: JsjGraph) -> list[Violation]:
     """Structural admissibility, independent of labels."""
     node_ids = Counter(nid for nid, _ in graph.nodes)
     edge_ids = Counter(edge.id for edge in graph.edges)
-    violations = [_violation("well-formed-graph", f"duplicate {kind} {ident}")
+    violations = [Violation("well-formed-graph", f"duplicate {kind} {ident}")
                   for kind, ids in (("node", node_ids), ("edge", edge_ids))
                   for ident, count in ids.items() if count > 1]
     for edge in graph.edges:
         if edge.a not in node_ids or edge.b not in node_ids:
-            violations.append(_violation("well-formed-graph", f"edge {edge.id}"))
+            violations.append(Violation("well-formed-graph", f"edge {edge.id}"))
     if violations:
         return violations
 
     central = [nid for nid, kind in graph.nodes
                if kind in (NodeKind.IFIBERED, NodeKind.SIMPLE)]
     if len(central) != 1:
-        violations.append(_violation("central-piece-law", f"{len(central)} central nodes"))
+        violations.append(Violation("central-piece-law", f"{len(central)} central nodes"))
     else:
         hub = central[0]
         for edge in graph.edges:
             if hub not in (edge.a, edge.b):
-                violations.append(_violation("central-piece-law", f"edge {edge.id}"))
+                violations.append(Violation("central-piece-law", f"edge {edge.id}"))
 
     for nid, kind in graph.nodes:
         if kind is not NodeKind.SEIFERT:
             continue
         degree = sum((edge.a == nid) + (edge.b == nid) for edge in graph.edges)
         if degree > 3:
-            violations.append(_violation("seifert-frontier-law", f"node {nid}"))
+            violations.append(Violation("seifert-frontier-law", f"node {nid}"))
 
     if len(graph.edges) > 3:
-        violations.append(_violation("three-annulus-law", f"{len(graph.edges)} edges"))
+        violations.append(Violation("three-annulus-law", f"{len(graph.edges)} edges"))
     return violations
 
 
@@ -204,18 +202,18 @@ def validate_labels(graph: JsjGraph) -> list[Violation]:
         if label is None:
             continue
         if label is AnnulusType.T4_1:
-            violations.append(_violation("fourone-noncharacteristic-law", f"edge {edge.id}"))
+            violations.append(Violation("fourone-noncharacteristic-law", f"edge {edge.id}"))
         if edge.is_loop and label in (AnnulusType.T2_1, AnnulusType.T3_3ii):
-            violations.append(_violation("loop-edge-law", f"edge {edge.id}"))
+            violations.append(Violation("loop-edge-law", f"edge {edge.id}"))
         if label is AnnulusType.T2_1 and (edge.is_loop or len(graph.edges) != 1):
-            violations.append(_violation("twoone-shape-law", f"edge {edge.id}"))
+            violations.append(Violation("twoone-shape-law", f"edge {edge.id}"))
         if edge.id in bigon_edge_ids:
             if label is not AnnulusType.T3_3i:
-                violations.append(_violation("bigon-threethree-law", f"edge {edge.id}"))
+                violations.append(Violation("bigon-threethree-law", f"edge {edge.id}"))
             if label is AnnulusType.T2_2:
-                violations.append(_violation("twotwo-shape-law", f"edge {edge.id}"))
+                violations.append(Violation("twotwo-shape-law", f"edge {edge.id}"))
             if label is AnnulusType.T3_3ii:
-                violations.append(_violation("threethree-ii-shape-law", f"edge {edge.id}"))
+                violations.append(Violation("threethree-ii-shape-law", f"edge {edge.id}"))
     return violations
 
 
@@ -226,9 +224,9 @@ def slope_rules(label: AnnulusType, slope: SlopePair,
         raise ValueError("slope rules apply to type 3-3 labels only")
     violations = []
     if label is AnnulusType.T3_3ii and not slope.is_trivial:
-        violations.append(_violation("trivial-slope-law", str(slope)))
+        violations.append(Violation("trivial-slope-law", str(slope)))
     if label is AnnulusType.T3_3i and slope.is_trivial and coexisting_type22:
-        violations.append(_violation("twotwo-coexistence-law", str(slope)))
+        violations.append(Violation("twotwo-coexistence-law", str(slope)))
     return violations
 
 
@@ -239,9 +237,8 @@ def validate_slopes(graph: JsjGraph) -> list[Violation]:
     for edge in graph.edges:
         if edge.slope is None or edge.label not in (AnnulusType.T3_3i, AnnulusType.T3_3ii):
             continue
-        for violation in slope_rules(edge.label, edge.slope, has_type22):
-            violations.append(Violation(violation.rule, violation.lemma,
-                                        f"edge {edge.id}: {violation.subject}"))
+        violations += [Violation(v.rule, f"edge {edge.id}: {v.subject}")
+                       for v in slope_rules(edge.label, edge.slope, has_type22)]
     for group in graph.bigon_groups():
         sloped = [e for e in group if e.slope is not None
                   and e.label is AnnulusType.T3_3i]
@@ -251,7 +248,7 @@ def validate_slopes(graph: JsjGraph) -> list[Violation]:
         bad_form = any(s.form != "prod" or abs(s.p) <= 1 for s in slopes)
         if len(slopes) > 1 or bad_form:
             subject = "edges " + ", ".join(e.id for e in sloped)
-            violations.append(_violation("bigon-slope-law", subject))
+            violations.append(Violation("bigon-slope-law", subject))
     return violations
 
 
@@ -280,24 +277,21 @@ def realizability_warnings(graph: JsjGraph) -> list[str]:
 
 def trivial_graph() -> JsjGraph:
     """Single simple piece, no annuli: the totally-geodesic-boundary case."""
-    return JsjGraph(nodes=(("x", NodeKind.SIMPLE),), edges=(),
-                    description="trivial")
+    return JsjGraph(nodes=(("x", NodeKind.SIMPLE),), edges=())
 
 
 def graph_k() -> JsjGraph:
     """Central I-fibered piece over a once-punctured Klein bottle: one
     boundary circle, hence one loop annulus."""
     return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
-                    edges=(Edge("a", "x", "x"),),
-                    description="punctured-Klein-bottle I-bundle")
+                    edges=(Edge("a", "x", "x"),))
 
 
 def graph_m() -> JsjGraph:
     """Central I-fibered piece over a once-punctured Moebius band: two
     boundary circles, hence two loop annuli."""
     return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
-                    edges=(Edge("a", "x", "x"), Edge("b", "x", "x")),
-                    description="punctured-Moebius-band I-bundle")
+                    edges=(Edge("a", "x", "x"), Edge("b", "x", "x")))
 
 
 # -- text format ---------------------------------------------------------------

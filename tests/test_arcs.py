@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import valid_slopes, word_strategy
+from hkannuli import arcs
 from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
                            SequenceExtension, _crossing_events, alternating, arc_word,
                            crossing_duals, interpolating, reference_crossings)
@@ -53,17 +54,28 @@ class TestTypes:
             ArcCoordinate(0, 2, 0, 0)  # slope 0 needs 2*beta+1 = +-1
 
     def test_sequence_validation(self):
-        seq = PairedUnitSequence(1, (1, -1))
+        PairedUnitSequence((1, -1))
         with pytest.raises(ValueError):
-            PairedUnitSequence(1, (1,))
+            PairedUnitSequence((1,))
         with pytest.raises(ValueError):
-            PairedUnitSequence(1, (1, 2))
-        with pytest.raises(ValueError):
-            SequenceExtension(seq, (1, -1, 1), (1, 3))  # disagrees along kappa
-        SequenceExtension(seq, (1, 1, -1), (1, 3))
+            PairedUnitSequence((1, 2))
+        assert SequenceExtension((1, 1, -1), (1, 3)).base == PairedUnitSequence((1, -1))
+        for entries, kappa in [((1, 2, -1), (1, 3)),   # not a unit
+                               ((1, 1, -1), (1,)),     # odd kappa
+                               ((1, 1, -1), (3, 1)),   # not increasing
+                               ((1, 1, -1), (1, 4))]:  # out of range
+            with pytest.raises(ValueError):
+                SequenceExtension(entries, kappa)
 
 
 class TestReferenceCrossings:
+    def test_crossing_cache_keeps_one_entry(self):
+        # `arcs crossings` reads one (rho, beta); more entries would keep megabytes each
+        arcs._crossing_events.cache_clear()
+        for rho in range(99_001, 99_011, 2):
+            reference_crossings(rho, 0)
+        assert arcs._crossing_events.cache_info().currsize <= 1
+
     def test_beta_zero(self):
         for rho in range(0, 8):
             seq, ext = reference_crossings(rho, 0)
@@ -130,11 +142,11 @@ class TestReferenceCrossings:
 
 class TestWordFunctions:
     def test_alternating_examples(self):
-        empty = PairedUnitSequence(0, ())
+        empty = PairedUnitSequence(())
         assert alternating(empty, W("u"), W("v")) == IDENTITY
-        ones = PairedUnitSequence(1, (1, 1))
+        ones = PairedUnitSequence((1, 1))
         assert alternating(ones, W("u"), W("v")) == W("u v")
-        mixed = PairedUnitSequence(2, (1, -1, -1, 1))
+        mixed = PairedUnitSequence((1, -1, -1, 1))
         assert alternating(mixed, W("v^2"), W("u")) == W("v^2 U v^-2 u")
 
     @given(word_strategy(max_blocks=3, max_exp=2), word_strategy(max_blocks=3, max_exp=2))

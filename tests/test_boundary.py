@@ -192,6 +192,13 @@ class TestBetaBudget:
         params = validate_params(p=3, q=2, delta=1, rho=1, beta=-100_000, lam=0, mu=0)
         assert len(boundary_word(params, 0).blocks) == 4 * 100_000 - 1
 
+    def test_pair_cache_keeps_one_entry(self):
+        # a census reads one (q, beta); more entries would keep megabytes each
+        boundary._alternating_pair.cache_clear()
+        for beta in range(20_000, 20_005):
+            boundary._alternating_pair(2, beta)
+        assert boundary._alternating_pair.cache_info().currsize <= 1
+
 
 class TestNormalization:
     @pytest.mark.parametrize("beta, expected", [(-1, 0), (-3, 2)])

@@ -78,16 +78,9 @@ def grid_families():
 
 def reference_census(params, span):
     """Entries and inconclusive n of the census, one word per n."""
-    entries, inconclusive = [], []
-    for n in range(-span, span + 1):
-        outcome = classify_typeK_annulus(params, n)
-        if outcome.certified:
-            evidence = outcome.criterion
-        else:
-            inconclusive.append(n)
-            evidence = str(outcome.witness)
-        entries.append(CensusEntry(n, outcome.verdict, evidence))
-    return tuple(entries), tuple(inconclusive)
+    entries = tuple(CensusEntry(n, classify_typeK_annulus(params, n))
+                    for n in range(-span, span + 1))
+    return entries, tuple(e.n for e in entries if not e.outcome.certified)
 
 
 class TestClosedForm:

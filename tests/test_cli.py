@@ -1,16 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from hkannuli import arcs, boundary, classify, cli
 from hkannuli.cli import run
-from hkannuli.freegroup import format_word, parse_word
+from hkannuli.freegroup import DIGIT_BUDGET, format_word, parse_word
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # sha256 of stdout for each command line in the README, run without and
 # with --json; the graph file is the README's sample saved as my.graph.
@@ -169,6 +178,119 @@ def test_digit_budget(tmp_path, capsys):
     path = tmp_path / "huge.graph"
     path.write_text(f"node x ifibered\nnode s seifert\nedge a x s slope=prod:{digits}/1\n")
     assert invoke(capsys, "jsj", "validate", str(path)) == (1, "", f"error: line 3: {reason}\n")
+
+
+@pytest.mark.parametrize("exponent", ["10000000000", "100000000000000000000"])
+def test_word_primitive_one_block_huge_exponent(capsys, exponent):
+    # g^e is its own minimal core: the Whitehead loop never raises it to e
+    assert invoke(capsys, "word", "primitive", f"u^{exponent}") == (0, "false\n", "")
+    assert invoke(capsys, "word", "power", f"v^-{exponent}") == (0, "true\n", "")
+
+
+def invoke_argv(argv):
+    """Exit code, stdout and stderr of one ``run``, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("head, tail", [
+    (["classify", "type-m", "--p"], []),
+    (["tangle", "eval", "--", "1"], []),
+    (["example", "five-two", "--range"], ["--json"]),
+], ids=["option", "twist", "range"])
+def test_argv_digit_budget(head, tail):
+    at_budget = invoke_argv(head + ["9" * DIGIT_BUDGET] + tail)
+    assert at_budget[0] in (0, 1) and "digits" not in at_budget[2]
+    code, out, err = invoke_argv(head + ["-" + "9" * (DIGIT_BUDGET + 1)] + tail)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": integers must have at most {DIGIT_BUDGET} digits\n")
+    assert "99" not in err
+
+
+def test_argv_not_an_integer():
+    code, out, err = invoke_argv(["arcs", "crossings", "--rho", "two", "--beta", "0"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --rho: invalid int value: 'two'\n")
+
+
+def test_argv_digit_budget_ignores_interpreter_limit():
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hkannuli", "classify", "type-m",
+                           "--p", "9" * 5000], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"integers must have at most {DIGIT_BUDGET} digits\n")
+
+
+def _integer_commands():
+    """(command, fixed argv, integer options) of every leaf with an integer
+    option; a positional option is named without a leading dash."""
+    for group, (_, leaves) in cli._COMMANDS.items():
+        for leaf, (_, _, arguments) in leaves.items():
+            flags = [flag for flag, spec in arguments if spec.get("type") is cli._int]
+            fixed = [part for flag, spec in arguments
+                     if spec.get("required") and "choices" in spec
+                     for part in (flag, spec["choices"][0])]
+            if flags:
+                yield [group, leaf], fixed, flags
+
+
+INTEGER_COMMANDS = list(_integer_commands())
+BUDGETS = (boundary.BETA_BUDGET, classify.SPAN_BUDGET, arcs.CROSSING_BUDGET)
+INTEGER_TEXT = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.sampled_from([str(sign * (b + step)) for b in BUDGETS
+                     for step in (-1, 1) for sign in (1, -1)]),
+    st.sampled_from(["9" * (DIGIT_BUDGET + step) for step in (-1, 0, 1)]),
+    st.tuples(st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+              st.integers(DIGIT_BUDGET + 1, 5000)).map(lambda t: t[0] + t[1] * t[2]),
+)
+
+
+def test_integer_commands_cover_every_integer_option():
+    specs = [spec for _, leaves in cli._COMMANDS.values()
+             for _, _, arguments in leaves.values() for _, spec in arguments]
+    assert all(spec.get("type") in (None, cli._int) for spec in specs)
+    flags = {(" ".join(command), flag) for command, _, flags in INTEGER_COMMANDS
+             for flag in flags}
+    assert len(INTEGER_COMMANDS) == 8 and ("tangle eval", "twists") in flags
+    assert ("classify em", "--p") in flags and len(flags) == 27
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_argv_fuzz(data):
+    """Every integer option, through ``run``: an answer, a rejection (exit 1)
+    or a usage error (exit 2), never a traceback; nothing on stdout when it
+    fails, at most a line or two on stderr, and every integer past the digit
+    budget refused as a usage error.  Word arguments are left out: a
+    multi-block word with a huge exponent, as in ``u^1000000000 v``, keeps
+    the Whitehead descent running for hours instead of failing."""
+    command, fixed, flags = data.draw(st.sampled_from(INTEGER_COMMANDS))
+    argv = command + fixed + data.draw(st.sampled_from([[], ["--json"]]))
+    values = []
+    for flag in flags:
+        if flag.startswith("-"):
+            value = data.draw(INTEGER_TEXT)
+            argv += [flag, value]
+            values.append(value)
+        else:
+            positional = data.draw(st.lists(INTEGER_TEXT, min_size=1, max_size=3))
+            argv += ["--"] + positional
+            values += positional
+    code, out, err = invoke_argv(argv)
+    assert code in (0, 1, 2), argv
+    assert code == 0 or out == ""
+    assert len(err.encode()) < 1024
+    if any(len(v.lstrip("-")) > DIGIT_BUDGET for v in values):
+        assert code == 2 and f"at most {DIGIT_BUDGET} digits" in err
 
 
 @pytest.mark.parametrize("rho, beta", [("1000001", "0"), ("999999", "-1")])
