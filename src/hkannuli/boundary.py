@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import arcs
 from .freegroup import U, V, Word, concat, generator
@@ -165,7 +165,7 @@ def normalize_negative_beta(params: TypeKParams) -> Tuple[TypeKParams, Word]:
     return normalized, U.inverse()
 
 
-def homology_class(params: TypeKParams, n: Optional[int] = None) -> Tuple[int, int]:
+def homology_class(params: TypeKParams) -> Tuple[int, int]:
     """Class of the n = -lambda band boundary on the solid-torus boundary,
     as (Theta, L) with L = q*Delta + delta, Delta = mu - lambda.
 
@@ -175,8 +175,6 @@ def homology_class(params: TypeKParams, n: Optional[int] = None) -> Tuple[int, i
     """
     if params.beta != 0:
         raise ValueError("homology_class is defined in the beta = 0 context")
-    if n is not None and n != -params.lam:
-        raise ValueError("the homology computation applies to n = -lambda")
     delta_twist = params.mu - params.lam
     numerator = params.p * params.delta + 1
     if numerator % params.q != 0:

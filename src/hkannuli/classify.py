@@ -3,7 +3,9 @@
 The separating annuli of a type-K handlebody-knot are certified to be of
 type 4-1 through a one-directional algebraic criterion: if the boundary
 word is not a power of a primitive element, the annulus is of type 4-1.
-``Inconclusive`` therefore never means "not type 4-1"; settling those
+On boundary words the Cho-Koda criterion decides this; a word it spares
+is ``inconclusive``, with its primitive root as witness.  That never
+means "not type 4-1"; settling those
 cases takes geometric input (knot triviality, symmetry) outside this
 calculus, and the library only ships the known answers for the worked
 5_2 example as static data.
@@ -27,8 +29,7 @@ from typing import Optional, Tuple
 
 from . import boundary
 from .boundary import TypeKParams
-from .freegroup import (IDENTITY, Word, cho_koda_criterion, is_primitive,
-                        root)
+from .freegroup import IDENTITY, Word, cho_koda_criterion, root
 from .tangle import RationalTangle, cf_eval, is_integral
 
 
@@ -75,17 +76,14 @@ CHO_KODA = ClassificationOutcome(Verdict.TYPE_4_1, criterion="cho-koda")
 
 
 def classify_typeK_annulus(params: TypeKParams, n: int) -> ClassificationOutcome:
-    """Certify the n-th separating annulus as type 4-1 when its boundary
-    word is provably not a power of a primitive element."""
+    """Certify the n-th separating annulus as type 4-1 by Cho-Koda; a word
+    it spares is a power of a primitive (:func:`non_type41_window`), and its
+    root witnesses the inconclusive verdict."""
     word = boundary.boundary_word(params, n)
     if cho_koda_criterion(word):
         return CHO_KODA
-    if word.is_identity:
-        return ClassificationOutcome(Verdict.INCONCLUSIVE, witness=IDENTITY)
-    r, _ = root(word)
-    if not is_primitive(r):
-        return ClassificationOutcome(Verdict.TYPE_4_1, criterion="whitehead-oracle")
-    return ClassificationOutcome(Verdict.INCONCLUSIVE, witness=r)
+    witness = IDENTITY if word.is_identity else root(word)[0]
+    return ClassificationOutcome(Verdict.INCONCLUSIVE, witness=witness)
 
 
 def non_type41_window(params: TypeKParams) -> Tuple[int, ...]:
@@ -106,22 +104,23 @@ def non_type41_window(params: TypeKParams) -> Tuple[int, ...]:
     Both sets have at most four elements: the first is empty or a pair for
     beta' > 0, and for beta' = 0 the two windows overlap because
     |mu' - lambda'| <= 1.
+
+    Every word the criterion spares is 1 or a power of a primitive element,
+    so the criterion decides the census (for beta >= 0 with any q != 0,
+    validated or not):
+
+    * beta' > 0: m = 0 leaves u^t, and t = 0 leaves a conjugate of v^m.
+    * beta' = 0: a spared core v^m u^t has |m| <= 1 or |t| <= 1, so it is
+      one block g^e, or v^(+-1) u^t, or v^m u^(+-1); the last two are
+      primitive, forming a basis with u and with v respectively.
     """
     if params.beta < 0:
         params, _ = boundary.normalize_negative_beta(params)
-    window: set[int] = set()
-    q, delta, lam, mu = params.q, params.delta, params.lam, params.mu
-    if params.beta > 0:
-        for target in (0, q):
-            # q(n + mu) + delta = target has a solution iff q | target-delta
-            if (target - delta) % q == 0:
-                window.add((target - delta) // q - mu)
-        window.update((-lam, 1 - lam))
-    else:
-        for target in (-1, 0, 1):
-            if (target - delta) % q == 0:
-                window.add((target - delta) // q - mu)
-        window.update((-lam - 1, -lam, -lam + 1))
+    q, delta = params.q, params.delta
+    m_targets, t_targets = ((0, q), (0, 1)) if params.beta > 0 else ((-1, 0, 1), (-1, 0, 1))
+    # q(n + mu) + delta = m has a solution iff q | m - delta
+    window = {(m - delta) // q - params.mu for m in m_targets if (m - delta) % q == 0}
+    window.update(t - params.lam for t in t_targets)
     return tuple(sorted(window))
 
 
@@ -286,7 +285,7 @@ FIVE_TWO_KNOWN_TYPES = {
 }
 
 
-def five_two_report(span: int = 100) -> CensusReport:
+def five_two_report(span: int) -> CensusReport:
     """The sharp-bound example: exactly four inconclusive separating annuli
     plus the non-separating one, attaining the bound of five."""
     return typeK_census(FIVE_TWO_PARAMS, span)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import arcs, boundary, classify, jsjgraph, tangle
 from .boundary import ParamError
-from .freegroup import (are_conjugate, check_digit_budget, format_word,
+from .freegroup import (are_conjugate, check_digit_budget, excerpt, format_word,
                         is_power_of_primitive, is_primitive, parse_word)
 
 # Each handler returns (inputs, result, text lines, warnings); ``run``
@@ -29,6 +29,7 @@ def _params_from_args(args: argparse.Namespace) -> boundary.TypeKParams:
 
 def _cmd_tangle_eval(args: argparse.Namespace):
     t = tangle.RationalTangle(tuple(args.twists))
+    tangle.check_twist_budget(t.twists)
     value = tangle.cf_eval(t, args.convention)
     return ({"twists": list(t.twists), "convention": args.convention},
             {"fraction": str(value),
@@ -160,15 +161,18 @@ def _cmd_example_five_two(args: argparse.Namespace):
 # -- parser ------------------------------------------------------------------
 
 def _int(text: str) -> int:
-    """``int`` under the digit budget, which PYTHONINTMAXSTRDIGITS cannot move."""
+    """``int`` under the digit budget, which PYTHONINTMAXSTRDIGITS cannot move;
+    text that is not an integer is quoted by a bounded excerpt."""
     try:
         check_digit_budget(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
 
 
-_int.__name__ = "int"  # argparse names it in "invalid int value: ..."
 _INT = {"type": _int, "required": True}
 _TYPEK = tuple((flag, _INT) for flag in
                ("--p", "--q", "--delta", "--rho", "--beta", "--lambda", "--mu"))
@@ -233,8 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse, dispatch and print; exit 1 on a rejected input and when
-    ``jsj validate`` reports violations."""
-    args = build_parser().parse_args(argv)
+    ``jsj validate`` reports violations.
+
+    Every integer read has a digit budget of its own, so CPython's int/str
+    conversion limit is lifted while this runs: what is printed must not
+    depend on PYTHONINTMAXSTRDIGITS.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         inputs, result, lines, warnings = args.func(args)
     except (ValueError, OSError) as exc:

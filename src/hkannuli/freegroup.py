@@ -173,17 +173,16 @@ def apply_endomorphism(w: Word, images: Mapping[str, Word]) -> Word:
 
 def _whitehead_maps() -> Tuple[Mapping[str, Word], ...]:
     # Rank-2 type-II Whitehead automorphisms: for multiplier a in
-    # {u, u^-1, v, v^-1} the non-multiplier generator x maps to one of
-    # x*a, a^-1*x, a^-1*x*a while a is fixed.  Twelve maps in total;
-    # type-I maps (permutations/inversions) never change cyclic length
-    # and are not needed for the descent.
+    # {u, u^-1, v, v^-1} the non-multiplier generator x maps to x*a or
+    # a^-1*x while a is fixed.  Eight maps in total.  x -> a^-1*x*a is
+    # conjugation by a and type-I maps (permutations/inversions) keep the
+    # cyclic length, so neither can shorten a word in the descent.
     maps = []
     for mult_gen, fixed_gen in (("u", "v"), ("v", "u")):
         for mult_exp in (1, -1):
             a = generator(mult_gen, mult_exp)
             x = generator(fixed_gen)
-            for image in (concat(x, a), concat(a.inverse(), x),
-                          concat(a.inverse(), x, a)):
+            for image in (concat(x, a), concat(a.inverse(), x)):
                 maps.append({mult_gen: generator(mult_gen), fixed_gen: image})
     return tuple(maps)
 
@@ -260,6 +259,11 @@ _DIGIT_LIMIT = 10 ** DIGIT_BUDGET
 _DIGIT_ERROR = f"integers must have at most {DIGIT_BUDGET} digits"
 
 
+def excerpt(text: str) -> str:
+    """``repr`` of at most 40 characters of text, for error messages."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 def check_digit_budget(*texts: str) -> None:
     """Refuse integer texts past :data:`DIGIT_BUDGET` digits before ``int`` reads them."""
     if any(sum(map(str.isdigit, text)) > DIGIT_BUDGET for text in texts):
@@ -277,7 +281,7 @@ def parse_word(text: str) -> Word:
     while pos < len(stripped):
         match = _TOKEN.match(stripped, pos)
         if not match:
-            raise ValueError(f"cannot parse word at {stripped[pos:]!r}")
+            raise ValueError(f"cannot parse word at {excerpt(stripped[pos:])}")
         letter, exp_text = match.groups()
         exp = 1 if exp_text is None else int(exp_text)
         gen = letter.lower()

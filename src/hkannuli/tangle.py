@@ -23,6 +23,11 @@ from typing import Tuple
 
 CONVENTIONS = ("literal", "mirrored")
 
+# The CLI evaluates a twist vector only while prod(|a_i| + 1) is below
+# 10^TWIST_DIGIT_BUDGET, so each term of the fraction it prints has at most
+# TWIST_DIGIT_BUDGET digits.
+TWIST_DIGIT_BUDGET = 4300
+
 
 @dataclass(frozen=True)
 class ExtendedRational:
@@ -97,6 +102,18 @@ def cf_eval(tangle: RationalTangle, convention: str = "literal") -> ExtendedRati
         # and the infinite accumulator (den = 0 gives a + inf = inf).
         num, den = a * num + den, num
     return ExtendedRational.of(num, den)
+
+
+def check_twist_budget(twists: Tuple[int, ...]) -> None:
+    """Refuse twists with prod(|a_i| + 1) >= 10^TWIST_DIGIT_BUDGET, naming
+    the budget.  The product bounds |numerator| and the denominator of
+    :func:`cf_eval`: each step maps (num, den) to (a*num + den, num)."""
+    limit, product = 10 ** TWIST_DIGIT_BUDGET, 1
+    for a in twists:
+        product *= abs(a) + 1
+        if product >= limit:
+            raise ValueError(
+                f"twist product prod(|a_i| + 1) must be below 10^{TWIST_DIGIT_BUDGET}")
 
 
 def is_integral(value: ExtendedRational, infinity_is_integral: bool = False) -> bool:

@@ -244,10 +244,6 @@ class TestHomology:
         with pytest.raises(ValueError):
             homology_class(params)
 
-    def test_requires_n_minus_lambda(self):
-        with pytest.raises(ValueError):
-            homology_class(FIVE_TWO, n=3)
-
 
 class TestDeltaClaim:
     @pytest.mark.parametrize("args, expected", [

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from conftest import sample_typek_params
-from hkannuli import boundary, classify
+from conftest import oracle_is_primitive, sample_typek_params
+from hkannuli import boundary, classify, freegroup
 from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
                                ExternalFactError, Verdict, classify_typeK_annulus,
                                classify_typeM, classify_typeS, em_invariants,
                                em_jsj_graph, five_two_report, non_type41_window,
                                typeK_census)
-from hkannuli.freegroup import cho_koda_criterion, format_word
+from hkannuli.freegroup import (cho_koda_criterion, cyclic_reduce, format_word,
+                                is_primitive, root)
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
 
@@ -96,6 +97,39 @@ class TestClosedForm:
                     assert cho_koda_criterion(boundary.boundary_word(params, n)), (params, n)
             families += 1
         assert families == 11172
+
+    def test_inconclusive_witness_is_primitive_root_on_grid(self):
+        """Exhaustive on the grid: a window word the criterion spares is the
+        identity or a power of a primitive, the root that is its witness."""
+        inconclusive = oracle_checked = 0
+        for params in grid_families():
+            for n in non_type41_window(params):
+                outcome = classify_typeK_annulus(params, n)
+                if outcome.certified:
+                    continue
+                inconclusive += 1
+                word = boundary.boundary_word(params, n)
+                if word.is_identity:
+                    assert outcome.witness.is_identity, (params, n)
+                    continue
+                witness = outcome.witness
+                assert witness == root(word)[0] and is_primitive(witness), (params, n)
+                if cyclic_reduce(witness)[0].length() <= 8:
+                    assert oracle_is_primitive(witness, 8), (params, n)
+                    oracle_checked += 1
+        assert (inconclusive, oracle_checked) == (13040, 12743)
+
+    def test_census_needs_no_descent(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("the census ran the Whitehead descent")
+
+        monkeypatch.setattr(freegroup, "whitehead_minimize", refuse)
+        assert typeK_census(FIVE_TWO, 100).inconclusive == (-2, -1, 0, 1)
+        rng = random.Random(47)
+        for _ in range(200):
+            params = sample_typek_params(rng)
+            report = typeK_census(params, 30)
+            assert set(report.inconclusive) <= set(report.window), params
 
     def test_census_matches_per_n_reference(self):
         rng = random.Random(41)

@@ -229,6 +229,52 @@ def test_argv_digit_budget_ignores_interpreter_limit():
     assert proc.stderr.endswith(f"integers must have at most {DIGIT_BUDGET} digits\n")
 
 
+def test_argv_not_an_integer_echo_is_bounded():
+    code, out, err = invoke_argv(["classify", "type-m", "--p", "x" * 5000])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --p: invalid int value: {'x' * 40!r}...\n")
+    assert len(err) < 300
+    code, out, err = invoke_argv(["word", "primitive", "x" * 5000])
+    assert (code, out, err) == (1, "", f"error: cannot parse word at {'x' * 40!r}...\n")
+
+
+NINES = "9" * DIGIT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "em", "--l", NINES, "--m", NINES, "--n", "0", "--p", NINES,
+     "--side", "plus", "--json"],
+    ["boundary", "word", "--p", "3", "--q", "2", "--delta", "1", "--rho", "1", "--beta", "0",
+     "--lambda", NINES, "--mu", NINES, "--n", NINES],
+], ids=["em", "boundary"])
+def test_printed_integers_ignore_interpreter_limit(argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    results = []
+    for limit in (None, "640"):
+        proc = subprocess.run([sys.executable, "-m", "hkannuli"] + argv, capture_output=True,
+                              text=True, timeout=60,
+                              env=env if limit is None else dict(env, PYTHONINTMAXSTRDIGITS=limit))
+        results.append((proc.returncode, proc.stdout))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and len(results[0][1]) > DIGIT_BUDGET
+
+
+@pytest.mark.parametrize("at_budget, past_budget", [
+    # six twists of 10^640 - 1, then 10^460 - 2 or 10^460 - 1: the product
+    # prod(|a_i| + 1) is just below 10^4300, or exactly 10^4300
+    ([NINES] * 6 + ["9" * 459 + "8"], [NINES] * 6 + ["9" * 460]),
+    # 2^14284 < 10^4300 <= 2^14285
+    (["1"] * 14284, ["-1"] * 14285),
+], ids=["wide", "long"])
+def test_tangle_twist_budget(at_budget, past_budget):
+    code, out, err = invoke_argv(["tangle", "eval", "--"] + at_budget)
+    assert code == 0 and err == "" and out.count("/") == 1
+    assert invoke_argv(["tangle", "eval", "--"] + past_budget) == (
+        1, "", "error: twist product prod(|a_i| + 1) must be below 10^4300\n")
+
+
 def _integer_commands():
     """(command, fixed argv, integer options) of every leaf with an integer
     option; a positional option is named without a leading dash."""

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import (cyclically_reduced_classes, oracle_is_primitive,
-                      word_from_codes, word_strategy)
+from conftest import (_apply, _elementary_automorphisms, cyclically_reduced_classes,
+                      oracle_is_primitive, word_from_codes, word_strategy)
+from hkannuli import freegroup
 from hkannuli.freegroup import (DIGIT_BUDGET, IDENTITY, Word, _conjugacy_key,
                                 are_conjugate, cho_koda_criterion, concat,
                                 cyclic_reduce, format_word, is_power_of_primitive,
-                                is_primitive, parse_word, reduce, root)
+                                is_primitive, parse_word, reduce, root,
+                                whitehead_minimize)
 from math import gcd
 
 W = parse_word
@@ -173,6 +176,40 @@ class TestPrimitivity:
         for key, codes in cyclically_reduced_classes(8).items():
             w = word_from_codes(codes)
             assert is_primitive(w) == oracle_is_primitive(w, 8), format_word(w)
+
+    def test_maps_are_the_twelve_without_conjugations(self):
+        # each multiplier a contributes x -> x a and x -> a^-1 x; the third
+        # reference map, x -> a^-1 x a, is conjugation by a
+        twelve = _elementary_automorphisms()[:12]
+        assert freegroup._whitehead_maps() == tuple(
+            images for i, images in enumerate(twelve) if i % 3 != 2)
+
+    def test_descent_matches_twelve_map_reference(self):
+        """The descent returns the same word as the greedy first-improving
+        descent over the twelve maps that include the conjugations, on
+        every class of length <= 8 and on seeded multi-block words."""
+        twelve = _elementary_automorphisms()[:12]
+
+        def reference(w):
+            current, _ = cyclic_reduce(w)
+            improved = True
+            while improved:
+                improved = False
+                for images in twelve:
+                    candidate, _ = cyclic_reduce(_apply(current, images))
+                    if candidate.length() < current.length():
+                        current, improved = candidate, True
+                        break
+            return current
+
+        words = [word_from_codes(codes) for codes in cyclically_reduced_classes(8).values()]
+        rng = random.Random(59)
+        for _ in range(400):
+            blocks = [("uv"[i % 2], rng.choice((-3, -2, -1, 1, 2, 3)))
+                      for i in range(rng.randint(2, 8))]
+            words.append(reduce(blocks))
+        for w in words:
+            assert whitehead_minimize(w) == reference(w), format_word(w)
 
     @given(word_strategy(max_blocks=4, max_exp=2), word_strategy(max_blocks=3, max_exp=2))
     @settings(max_examples=60)
