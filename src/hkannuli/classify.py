@@ -11,9 +11,9 @@ calculus, and the library only ships the known answers for the worked
 5_2 example as static data.
 
 The census certifies every n outside the exclusion window
-(:func:`non_type41_window`) without building its word, and builds explicit
-words only for the at most four n inside it, so a census of span s costs
-O(s) plus O(|beta|) per window entry.
+(:func:`non_type41_window`) without building its word or keeping an entry
+for it, and builds explicit words only for the at most four n inside it, so
+a census costs O(|beta|) per window entry whatever its span.
 
 The type-M and type-S handlebody-knots have exactly two non-characteristic
 annuli and closed-form classifiers; the tangle-constructed knots feeding
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import boundary
 from .boundary import TypeKParams
@@ -220,16 +220,41 @@ class CensusEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """A census of the n with |n| <= span.  Only the window n inside the
+    span are stored; every other n is certified by Cho-Koda."""
+
     params: TypeKParams
+    span: int
     window: Tuple[int, ...]
-    entries: Tuple[CensusEntry, ...]
-    inconclusive: Tuple[int, ...]
-    certified_count: int
+    window_entries: Tuple[CensusEntry, ...]
     nonseparating_type: AnnulusType
-    total_non_certified: int
+
+    def outcomes(self) -> Iterator[Tuple[int, ClassificationOutcome]]:
+        """``(n, outcome)`` for every n in turn, without keeping them."""
+        window = {e.n: e.outcome for e in self.window_entries}
+        return ((n, window.get(n, CHO_KODA)) for n in range(-self.span, self.span + 1))
+
+    @property
+    def entries(self) -> Tuple[CensusEntry, ...]:
+        """One entry per n, built on every read: O(span)."""
+        return tuple([CensusEntry(n, outcome) for n, outcome in self.outcomes()])
+
+    @property
+    def inconclusive(self) -> Tuple[int, ...]:
+        # a list, not a generator: see Word.exponents
+        return tuple([e.n for e in self.window_entries if not e.outcome.certified])
+
+    @property
+    def certified_count(self) -> int:
+        return 2 * self.span + 1 - len(self.inconclusive)
+
+    @property
+    def total_non_certified(self) -> int:
+        return len(self.inconclusive) + 1
 
 
-# Largest census span: 2*span + 1 entries, well under a second at this size.
+# Largest census span.  The census does not grow with the span; reading
+# ``entries`` and the CLI's --json output, one record per n, do.
 SPAN_BUDGET = 100_000
 
 
@@ -238,9 +263,9 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
     the unique non-separating annulus.
 
     Every n outside :func:`non_type41_window` is certified by Cho-Koda
-    without building its word; only the at most four n inside it go through
-    :func:`classify_typeK_annulus`.  The cost is O(span) plus O(|beta|) for
-    each of those.
+    without building its word or an entry; only the at most four n inside
+    it go through :func:`classify_typeK_annulus`.  The cost is O(|beta|)
+    for each of those, whatever the span; reading ``entries`` is O(span).
 
     The non-separating annulus has slope pair (p/q, pq) with p not in
     {0, +-1}; a nontrivial slope rules out type 3-3ii, so it is 3-3i.
@@ -251,21 +276,17 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
     boundary.check_beta_budget(params.beta)  # the census may build no word at all
     window = non_type41_window(params)
-    outcomes = {n: classify_typeK_annulus(params, n) for n in window if -span <= n <= span}
-    entries = tuple(CensusEntry(n, outcomes.get(n, CHO_KODA))
-                    for n in range(-span, span + 1))
-    inconclusive = tuple(n for n, outcome in outcomes.items() if not outcome.certified)
-    if len(inconclusive) > 4:
-        raise AssertionError("more than four inconclusive separating annuli")
-    return CensusReport(
+    report = CensusReport(
         params=params,
+        span=span,
         window=window,
-        entries=entries,
-        inconclusive=inconclusive,
-        certified_count=len(entries) - len(inconclusive),
+        window_entries=tuple([CensusEntry(n, classify_typeK_annulus(params, n))
+                              for n in window if -span <= n <= span]),
         nonseparating_type=AnnulusType.T3_3i,
-        total_non_certified=len(inconclusive) + 1,
     )
+    if len(report.inconclusive) > 4:
+        raise AssertionError("more than four inconclusive separating annuli")
+    return report
 
 
 # -- the worked 5_2 example --------------------------------------------------

@@ -9,6 +9,7 @@ validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from typing import Optional, Sequence
@@ -56,25 +57,27 @@ def _cmd_arcs_crossings(args: argparse.Namespace):
              f"zeta   = {zetas}"], [])
 
 
+def _params_json(params: boundary.TypeKParams) -> dict:
+    return {"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
+            "beta": params.beta, "lambda": params.lam, "mu": params.mu}
+
+
 def _cmd_boundary_word(args: argparse.Namespace):
     params = _params_from_args(args)
     word = boundary.boundary_word(params, args.n)
-    return ({"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
-             "beta": params.beta, "lambda": params.lam, "mu": params.mu, "n": args.n},
+    return (_params_json(params) | {"n": args.n},
             {"word": format_word(word),
              "abelianization": list(word.abelianization())},
             [format_word(word)], [])
 
 
 def _census_payload(report: classify.CensusReport) -> dict:
+    """The --json census, one record per n: O(span), so text mode skips it."""
     return {
-        "params": {"p": report.params.p, "q": report.params.q,
-                   "delta": report.params.delta, "rho": report.params.rho,
-                   "beta": report.params.beta, "lambda": report.params.lam,
-                   "mu": report.params.mu},
+        "params": _params_json(report.params),
         "window": list(report.window),
-        "per_n": [{"n": e.n, "verdict": e.outcome.verdict.value,
-                   "evidence": e.outcome.evidence} for e in report.entries],
+        "per_n": [{"n": n, "verdict": outcome.verdict.value, "evidence": outcome.evidence}
+                  for n, outcome in report.outcomes()],
         "totals": {
             "certified": report.certified_count,
             "inconclusive_separating": len(report.inconclusive),
@@ -86,8 +89,8 @@ def _census_payload(report: classify.CensusReport) -> dict:
 
 def _cmd_classify_typek(args: argparse.Namespace):
     report = classify.typeK_census(_params_from_args(args), args.range)
-    payload = _census_payload(report)
-    return (payload["params"] | {"range": args.range}, payload,
+    return (_params_json(report.params) | {"range": args.range},
+            _census_payload(report) if args.json else {},
             [f"window: {list(report.window)}",
              f"inconclusive separating n: {list(report.inconclusive)}",
              f"certified type 4-1: {report.certified_count} of {2 * args.range + 1}",
@@ -147,9 +150,11 @@ def _cmd_jsj_validate(args: argparse.Namespace):
 def _cmd_example_five_two(args: argparse.Namespace):
     report = classify.five_two_report(span=args.range)
     known = sorted(classify.FIVE_TWO_KNOWN_TYPES.items())
-    payload = _census_payload(report)
-    payload["known_types"] = {str(n): t.value for n, t in known}
-    payload["bound_attained"] = report.total_non_certified == 5
+    payload = {}
+    if args.json:
+        payload = _census_payload(report)
+        payload["known_types"] = {str(n): t.value for n, t in known}
+        payload["bound_attained"] = report.total_non_certified == 5
     return ({"range": args.range}, payload,
             [f"window: {list(report.window)}",
              f"inconclusive separating n: {list(report.inconclusive)}",
@@ -217,8 +222,23 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Quotes the argv text argparse echoes by a bounded excerpt; the
+    subparsers it makes are of this class too."""
+
+    def error(self, message: str):
+        head, sep, rest = message.partition("invalid choice: ")
+        if sep:  # the choice as its repr, then " (choose from ...)"
+            value, choices_sep, choices = rest.rpartition(" (choose from ")
+            message = f"{head}{sep}{excerpt(ast.literal_eval(value))}{choices_sep}{choices}"
+        head, sep, rest = message.partition("unrecognized arguments: ")
+        if sep and len(rest) > 40:  # argv joined as it is
+            message = f"{head}{sep}{excerpt(rest)}"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hkannuli",
         description="Annulus classification calculus for genus-two handlebody-knots")
     top = parser.add_subparsers(dest="command", required=True)
@@ -256,7 +276,10 @@ def _run(args: argparse.Namespace) -> int:
         inputs, result, lines, warnings = args.func(args)
     except (ValueError, OSError) as exc:
         prefix = "invalid parameters: " if isinstance(exc, ParamError) else ""
-        sys.stderr.write(f"error: {prefix}{exc}\n")
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # str(exc), name bounded
+            message = f"[Errno {exc.errno}] {exc.strerror}: {excerpt(exc.filename)}"
+        sys.stderr.write(f"error: {prefix}{message}\n")
         return 1
     if args.json:
         report = {"command": args.command_name, "inputs": inputs, "result": result,

@@ -54,7 +54,9 @@ class Word:
         return sum(abs(exp) for _, exp in self.blocks)
 
     def exponents(self, gen: str) -> Tuple[int, ...]:
-        return tuple(exp for g, exp in self.blocks if g == gen)
+        # a list, not a generator, here and in inverse: tuple() resizes a
+        # generator's tuple with realloc, past the free lists it is freed onto
+        return tuple([exp for g, exp in self.blocks if g == gen])
 
     def abelianization(self) -> Tuple[int, int]:
         """Exponent sums ``(u-total, v-total)``."""
@@ -66,7 +68,7 @@ class Word:
     # -- group operations ----------------------------------------------
 
     def inverse(self) -> "Word":
-        return Word(tuple((gen, -exp) for gen, exp in reversed(self.blocks)))
+        return Word(tuple([(gen, -exp) for gen, exp in reversed(self.blocks)]))
 
     def __pow__(self, n: int) -> "Word":
         if len(self.blocks) == 1:
@@ -96,13 +98,17 @@ V = generator("v")
 
 
 def reduce(raw: Iterable[Block]) -> Word:
-    """Freely reduce a block sequence: merge runs, drop zero exponents."""
+    """Freely reduce a block sequence: merge runs, drop zero exponents.
+    Blocks that merge with nothing are kept as the same tuples."""
     stack: list[Block] = []
-    for gen, exp in raw:
+    for block in raw:
+        gen, exp = block
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
-        if exp:
-            stack.append((gen, exp))
+            if exp:
+                stack.append((gen, exp))
+        elif exp:
+            stack.append(block)
     return Word(tuple(stack))
 
 

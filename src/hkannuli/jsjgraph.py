@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .classify import AnnulusType
-from .freegroup import check_digit_budget
+from .freegroup import check_digit_budget, excerpt
 
 
 class NodeKind(str, enum.Enum):
@@ -296,10 +296,18 @@ def graph_m() -> JsjGraph:
 
 # -- text format ---------------------------------------------------------------
 
+def _member(kind, text: str):
+    """``kind(text)``, quoting a bounded excerpt of text that names no member."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{excerpt(text)} is not a valid {kind.__name__}") from None
+
+
 def _parse_slope(token: str) -> SlopePair:
     form, _, frac = token.partition(":")
     num, _, den = frac.partition("/")
-    bad = ValueError(f"bad slope token {token!r}: expected prod:p/q or recip:p/q "
+    bad = ValueError(f"bad slope token {excerpt(token)}: expected prod:p/q or recip:p/q "
                      "with integers p, q")
     if form not in ("prod", "recip") or not den:
         raise bad
@@ -330,7 +338,7 @@ def parse_graph(text: str) -> JsjGraph:
             if tokens[0] == "node":
                 if len(tokens) != 3:
                     raise ValueError("expected 'node <id> ifibered|seifert|simple'")
-                nodes.append((tokens[1], NodeKind(tokens[2])))
+                nodes.append((tokens[1], _member(NodeKind, tokens[2])))
             elif tokens[0] == "edge":
                 if not 4 <= len(tokens) <= 6:
                     raise ValueError("expected 'edge <id> <nodeA> <nodeB> "
@@ -339,16 +347,16 @@ def parse_graph(text: str) -> JsjGraph:
                 for extra in tokens[4:]:
                     key, _, value = extra.partition("=")
                     if key in attrs:
-                        raise ValueError(f"repeated edge attribute {key!r}")
+                        raise ValueError(f"repeated edge attribute {excerpt(key)}")
                     if key == "label":
-                        attrs[key] = AnnulusType(value)
+                        attrs[key] = _member(AnnulusType, value)
                     elif key == "slope":
                         attrs[key] = _parse_slope(value)
                     else:
-                        raise ValueError(f"unknown edge attribute {key!r}")
+                        raise ValueError(f"unknown edge attribute {excerpt(key)}")
                 edges.append(Edge(tokens[1], tokens[2], tokens[3], **attrs))
             else:
-                raise ValueError(f"unrecognised directive {tokens[0]!r}")
+                raise ValueError(f"unrecognised directive {excerpt(tokens[0])}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return JsjGraph(tuple(nodes), tuple(edges))

@@ -169,6 +169,23 @@ class TestClosedForm:
         assert report.inconclusive == (-1, 0, 1)
         assert (report.entries, report.inconclusive) == reference_census(FIVE_TWO, 1)
 
+    def test_entries_built_only_inside_window(self, monkeypatch):
+        built = []
+
+        class Counted(CensusEntry):
+            def __init__(self, n, outcome):
+                built.append(n)
+                super().__init__(n, outcome)
+
+        monkeypatch.setattr(classify, "CensusEntry", Counted)
+        span = classify.SPAN_BUDGET
+        rng = random.Random(53)
+        for params in [FIVE_TWO] + [sample_typek_params(rng) for _ in range(50)]:
+            built.clear()
+            report = typeK_census(params, span)
+            assert built == [n for n in non_type41_window(params) if -span <= n <= span]
+            assert report.certified_count == 2 * span + 1 - len(report.inconclusive)
+
 
 class TestCensus:
     def test_five_two_attains_bound(self):

@@ -238,6 +238,73 @@ def test_argv_not_an_integer_echo_is_bounded():
     assert (code, out, err) == (1, "", f"error: cannot parse word at {'x' * 40!r}...\n")
 
 
+X5000 = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, graph, expected", [
+    (["classify", "em", "--l", "1", "--m", "1", "--n", "1", "--p", "1", "--side", X5000],
+     None, 2),
+    (["classify", "type-m", "--p", "1", "--" + X5000], None, 2),
+    (["jsj", "validate"], f"edge a x y slope={X5000}\n", 1),
+    (["jsj", "validate"], f"{X5000} a\n", 1),
+    (["jsj", "validate"], f"node a {X5000}\n", 1),
+    (["jsj", "validate"], f"edge a x y label={X5000}\n", 1),
+    (["jsj", "validate"], f"edge a x y {X5000}=1\n", 1),
+    (["jsj", "validate", X5000], None, 1),
+], ids=["choice", "unrecognized", "slope", "directive", "node-kind", "label", "attribute",
+        "os-error"])
+def test_bad_text_echo_is_bounded(tmp_path, argv, graph, expected):
+    if graph is not None:
+        path = tmp_path / "bad.graph"
+        path.write_text(graph)
+        argv = argv + [str(path)]
+    code, out, err = invoke_argv(argv)
+    assert (code, out) == (expected, "")
+    assert len(err.encode()) < 300 and "x" * 41 not in err
+
+
+TYPEK_TEXT = ["classify", "type-k", "--p", "3", "--q", "2", "--delta", "1", "--rho", "1",
+              "--beta", "100", "--lambda", "0", "--mu", "0", "--range", "100000"]
+
+
+@pytest.mark.parametrize("argv", [TYPEK_TEXT, ["example", "five-two", "--range", "100000"]],
+                         ids=["type-k", "five-two"])
+def test_text_census_builds_no_payload(monkeypatch, capsys, argv):
+    def refuse(report):
+        raise AssertionError("text mode built the per-n payload")
+
+    monkeypatch.setattr(cli, "_census_payload", refuse)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out.startswith("window: ")
+
+
+# Linux carries a parent's peak RSS into the ru_maxrss of the child it execs,
+# so a small interpreter, not the test process, starts the measured children.
+_PEAK_KIB = """
+import os, subprocess, sys
+for line in sys.argv[1:]:
+    proc = subprocess.Popen([sys.executable, "-m", "hkannuli"] + line.split(),
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                    reason="reads the child's ru_maxrss in KiB through os.wait4")
+def test_text_census_memory_follows_output():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_KIB, "example five-two --range 10",
+                           " ".join(TYPEK_TEXT)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    (startup_code, startup), (census_code, census) = (
+        map(int, line.split()) for line in proc.stdout.splitlines())
+    assert (startup_code, census_code) == (0, 0)
+    assert census <= startup + 2048, (startup, census)
+
+
 NINES = "9" * DIGIT_BUDGET
 
 

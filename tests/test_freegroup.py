@@ -27,6 +27,12 @@ class TestReduce:
     def test_examples(self, raw, expected):
         assert format_word(reduce(raw)) == expected
 
+    def test_unmerged_blocks_kept(self):
+        raw = [("u", 2), ("v", 1), ("v", 3), ("u", -1), ("v", 0), ("u", 5)]
+        blocks = reduce(raw).blocks
+        assert blocks == (("u", 2), ("v", 4), ("u", 4))
+        assert blocks[0] is raw[0] and blocks[1] is not raw[1]
+
     def test_word_invariants_enforced(self):
         with pytest.raises(ValueError):
             Word((("u", 0),))
