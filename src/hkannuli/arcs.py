@@ -36,11 +36,11 @@ Closed-form anchors used to pin the conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, Tuple
 
+from ._record import Record
 from .freegroup import Word, concat
 
 ARC_SYMBOLS = ("Ce", "Co_hat", "v_hat", "s0")
@@ -54,8 +54,7 @@ def slope_is_valid(rho: int, beta: int) -> bool:
     return rho >= 0 and gcd(2 * rho, abs(2 * beta + 1)) == 1
 
 
-@dataclass(frozen=True)
-class ArcCoordinate:
+class ArcCoordinate(Record):
     """Coordinate (slope, twists): slope 2*rho/(2*beta+1), twists (lam, mu)."""
 
     rho: int
@@ -71,11 +70,10 @@ class ArcCoordinate:
                 f"2*rho and 2*beta+1 must be coprime; got rho={self.rho}, beta={self.beta}")
 
 
-@dataclass(frozen=True)
-class PairedUnitSequence:
+class PairedUnitSequence(Record):
     """+-1 sequence of even length 2*tau recording the d-arc crossings."""
 
-    entries: Tuple[int, ...]
+    entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) % 2:
@@ -84,16 +82,15 @@ class PairedUnitSequence:
             raise ValueError("entries must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class SequenceExtension:
+class SequenceExtension(Record):
     """Extension of a paired unit sequence by interpolated crossings.
 
     ``kappa`` (1-based, strictly increasing, of even length) locates the
     base entries inside ``entries``; the base is read off along it.
     """
 
-    entries: Tuple[int, ...]
-    kappa: Tuple[int, ...]
+    entries: tuple[int, ...]
+    kappa: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if any(e not in (1, -1) for e in self.entries):
@@ -113,7 +110,7 @@ class SequenceExtension:
     def sigma(self) -> int:
         return len(self.entries)
 
-    def zetas(self) -> Tuple[int, ...]:
+    def zetas(self) -> tuple[int, ...]:
         """Interpolation exponents zeta_0..zeta_{2 tau}: sums of entries
         strictly between consecutive kappa positions (ends padded)."""
         bounds = (0,) + self.kappa + (self.sigma + 1,)
@@ -125,7 +122,7 @@ class SequenceExtension:
 
 # One (rho, beta) per call; an entry near the crossing budget holds megabytes.
 @lru_cache(maxsize=1)
-def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
+def _crossing_events(rho: int, beta: int) -> tuple[tuple[str, int], ...]:
     """Ordered (dual, sign) crossings of the reference-arc lift.
 
     Duals are "d_o"/"d_e" for integer-column crossings (odd/even column)
@@ -142,7 +139,7 @@ def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
         raise ValueError(f"crossing count 2*|beta| + rho must be at most {CROSSING_BUDGET}")
     d = abs(2 * beta + 1)
     row = ("s0p", 1 if beta >= 0 else -1)
-    line: list[Tuple[str, int]] = []
+    line: list[tuple[str, int]] = []
     rows = 0
     # the segment meets d - 1 columns: 2*beta of them, or 2*|beta| - 2
     for k in range(1, d):
@@ -158,7 +155,7 @@ def _crossing_events(rho: int, beta: int) -> Tuple[Tuple[str, int], ...]:
     return (("d_e", -1),) + tuple(line) + (("d_o", 1),)
 
 
-def reference_crossings(rho: int, beta: int) -> Tuple[PairedUnitSequence, SequenceExtension]:
+def reference_crossings(rho: int, beta: int) -> tuple[PairedUnitSequence, SequenceExtension]:
     """Crossing data of the reference arc of slope 2*rho/(2*beta+1).
 
     Returns the paired unit sequence A (the 2*|beta| d-crossings) and its
@@ -172,7 +169,7 @@ def reference_crossings(rho: int, beta: int) -> Tuple[PairedUnitSequence, Sequen
     return ext.base, ext
 
 
-def crossing_duals(rho: int, beta: int) -> Tuple[str, ...]:
+def crossing_duals(rho: int, beta: int) -> tuple[str, ...]:
     """The dual arc met at each extension position, in crossing order."""
     return tuple(dual for dual, _ in _crossing_events(rho, beta))
 

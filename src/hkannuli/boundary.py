@@ -16,12 +16,11 @@ arc's d-crossing signs are constant, so rho enters only the validity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
 
 from . import arcs
+from ._record import Record
 from .freegroup import U, V, Word, concat, generator
 
 
@@ -38,8 +37,7 @@ class ParamError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class TypeKParams:
+class TypeKParams(Record):
     """Validated parameter tuple of a type-K separating-annulus family."""
 
     p: int
@@ -130,7 +128,7 @@ def check_beta_budget(beta: int) -> None:
 
 # One (q, beta) per census; an entry near the beta budget holds megabytes.
 @lru_cache(maxsize=1)
-def _alternating_pair(q: int, beta: int) -> Tuple[Word, Word]:
+def _alternating_pair(q: int, beta: int) -> tuple[Word, Word]:
     """(A, A^-1), or (u^-1 A' v^q, v^q A'^-1 u^-1) when beta < 0."""
     check_beta_budget(beta)
     vq = V ** q
@@ -149,7 +147,7 @@ def boundary_word(params: TypeKParams, n: int) -> Word:
     return concat(front, middle, back, tail)
 
 
-def normalize_negative_beta(params: TypeKParams) -> Tuple[TypeKParams, Word]:
+def normalize_negative_beta(params: TypeKParams) -> tuple[TypeKParams, Word]:
     """Rewrite a beta < 0 family in beta' = -beta - 1 >= 0 form.
 
     The first/last entries of the induced sequence peel off as u^-1 ... v^q
@@ -165,7 +163,7 @@ def normalize_negative_beta(params: TypeKParams) -> Tuple[TypeKParams, Word]:
     return normalized, U.inverse()
 
 
-def homology_class(params: TypeKParams) -> Tuple[int, int]:
+def homology_class(params: TypeKParams) -> tuple[int, int]:
     """Class of the n = -lambda band boundary on the solid-torus boundary,
     as (Theta, L) with L = q*Delta + delta, Delta = mu - lambda.
 

@@ -24,10 +24,10 @@ cyclic-cokernel orders (|l|, |2lmp - lp - lm - 2p + 1|).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from collections.abc import Iterator
 
 from . import boundary
+from ._record import Record
 from .boundary import TypeKParams
 from .freegroup import IDENTITY, Word, cho_koda_criterion, root
 from .tangle import RationalTangle, cf_eval, is_integral
@@ -51,15 +51,14 @@ class Verdict(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(Record):
     """Certified type 4-1 (with the criterion that fired) or inconclusive
     (with the primitive root as witness; the identity word witnesses the
     degenerate nullhomotopic case)."""
 
     verdict: Verdict
-    criterion: Optional[str] = None
-    witness: Optional[Word] = None
+    criterion: str | None = None
+    witness: Word | None = None
 
     @property
     def certified(self) -> bool:
@@ -83,10 +82,10 @@ def classify_typeK_annulus(params: TypeKParams, n: int) -> ClassificationOutcome
     if cho_koda_criterion(word):
         return CHO_KODA
     witness = IDENTITY if word.is_identity else root(word)[0]
-    return ClassificationOutcome(Verdict.INCONCLUSIVE, witness=witness)
+    return ClassificationOutcome(Verdict.INCONCLUSIVE, None, witness)  # no criterion
 
 
-def non_type41_window(params: TypeKParams) -> Tuple[int, ...]:
+def non_type41_window(params: TypeKParams) -> tuple[int, ...]:
     """Explicit finite exclusion set: Cho-Koda certifies every n outside it.
 
     beta < 0 is first rewritten in beta' >= 0 form (same n indexing; the
@@ -142,8 +141,8 @@ class ExternalFactError(ValueError):
 
 
 def classify_typeS(p: int, q: int,
-                   cV_trivial: Optional[bool] = None
-                   ) -> Tuple[AnnulusType, AnnulusType]:
+                   cV_trivial: bool | None = None
+                   ) -> tuple[AnnulusType, AnnulusType]:
     """Types of the two non-characteristic annuli of a type-S exterior.
 
     For q > 1 the Seifert structure decides: the core on one side is
@@ -164,8 +163,7 @@ def classify_typeS(p: int, q: int,
     return kind, kind
 
 
-@dataclass(frozen=True)
-class EmParams:
+class EmParams(Record):
     """Integer quadruple of the four-tangle knot construction.
 
     The excluded quadruples live in an external table that is not encoded
@@ -183,7 +181,7 @@ EM_WARNING = ("the excluded (l, m, n, p) quadruples are not encoded; "
               "results assume the quadruple is admissible")
 
 
-def em_invariants(e: EmParams) -> Tuple[int, int]:
+def em_invariants(e: EmParams) -> tuple[int, int]:
     """Cokernel orders (|l|, |2lmp - lp - lm - 2p + 1|) of the two
     annulus inclusions in the plus-side exterior."""
     l, m, p = e.l, e.m, e.p
@@ -212,35 +210,33 @@ def em_jsj_graph(e: EmParams, side: str) -> EmGraph:
 # -- census -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(Record):
     n: int
     outcome: ClassificationOutcome
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     """A census of the n with |n| <= span.  Only the window n inside the
     span are stored; every other n is certified by Cho-Koda."""
 
     params: TypeKParams
     span: int
-    window: Tuple[int, ...]
-    window_entries: Tuple[CensusEntry, ...]
+    window: tuple[int, ...]
+    window_entries: tuple[CensusEntry, ...]
     nonseparating_type: AnnulusType
 
-    def outcomes(self) -> Iterator[Tuple[int, ClassificationOutcome]]:
+    def outcomes(self) -> Iterator[tuple[int, ClassificationOutcome]]:
         """``(n, outcome)`` for every n in turn, without keeping them."""
         window = {e.n: e.outcome for e in self.window_entries}
         return ((n, window.get(n, CHO_KODA)) for n in range(-self.span, self.span + 1))
 
     @property
-    def entries(self) -> Tuple[CensusEntry, ...]:
+    def entries(self) -> tuple[CensusEntry, ...]:
         """One entry per n, built on every read: O(span)."""
         return tuple([CensusEntry(n, outcome) for n, outcome in self.outcomes()])
 
     @property
-    def inconclusive(self) -> Tuple[int, ...]:
+    def inconclusive(self) -> tuple[int, ...]:
         # a list, not a generator: see Word.exponents
         return tuple([e.n for e in self.window_entries if not e.outcome.certified])
 
@@ -276,14 +272,11 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
     boundary.check_beta_budget(params.beta)  # the census may build no word at all
     window = non_type41_window(params)
-    report = CensusReport(
-        params=params,
-        span=span,
-        window=window,
-        window_entries=tuple([CensusEntry(n, classify_typeK_annulus(params, n))
-                              for n in window if -span <= n <= span]),
-        nonseparating_type=AnnulusType.T3_3i,
-    )
+    # positional records here and in classify_typeK_annulus: keywords take
+    # Record's slower binding path, once per census
+    window_entries = tuple([CensusEntry(n, classify_typeK_annulus(params, n))
+                            for n in window if -span <= n <= span])
+    report = CensusReport(params, span, window, window_entries, AnnulusType.T3_3i)
     if len(report.inconclusive) > 4:
         raise AssertionError("more than four inconclusive separating annuli")
     return report

@@ -9,10 +9,8 @@ validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import ast
-import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import arcs, boundary, classify, jsjgraph, tangle
 from .boundary import ParamError
@@ -227,6 +225,8 @@ class _Parser(argparse.ArgumentParser):
     subparsers it makes are of this class too."""
 
     def error(self, message: str):
+        import ast  # here, not at startup: only usage errors need it
+
         head, sep, rest = message.partition("invalid choice: ")
         if sep:  # the choice as its repr, then " (choose from ...)"
             value, choices_sep, choices = rest.rpartition(" (choose from ")
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse, dispatch and print; exit 1 on a rejected input and when
     ``jsj validate`` reports violations.
 
@@ -282,6 +282,8 @@ def _run(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: {prefix}{message}\n")
         return 1
     if args.json:
+        import json  # here, not at startup: text mode needs none
+
         report = {"command": args.command_name, "inputs": inputs, "result": result,
                   "warnings": warnings}
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))

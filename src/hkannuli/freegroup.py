@@ -18,19 +18,26 @@ repeat the core's blocks and are then conjugated back.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from collections.abc import Iterable, Mapping
+
+from ._record import Record
 
 GENERATORS = ("u", "v")
 
-Block = Tuple[str, int]
+Block = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word, stored as blocks ``(generator, exponent)``."""
+class Word(Record):
+    """A freely reduced word, stored as blocks ``(generator, exponent)``.
 
-    blocks: Tuple[Block, ...] = ()
+    Built, compared and hashed by hand, because every word operation builds
+    words; tracers count constructions by wrapping ``__post_init__``."""
+
+    blocks: tuple[Block, ...]
+
+    def __init__(self, blocks: tuple[Block, ...] = ()) -> None:
+        _set_blocks(self, blocks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         prev = None
@@ -43,6 +50,14 @@ class Word:
                 raise ValueError("adjacent blocks share a generator")
             prev = gen
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -53,12 +68,12 @@ class Word:
         """Letter length: the sum of absolute exponents."""
         return sum(abs(exp) for _, exp in self.blocks)
 
-    def exponents(self, gen: str) -> Tuple[int, ...]:
+    def exponents(self, gen: str) -> tuple[int, ...]:
         # a list, not a generator, here and in inverse: tuple() resizes a
         # generator's tuple with realloc, past the free lists it is freed onto
         return tuple([exp for g, exp in self.blocks if g == gen])
 
-    def abelianization(self) -> Tuple[int, int]:
+    def abelianization(self) -> tuple[int, int]:
         """Exponent sums ``(u-total, v-total)``."""
         totals = {"u": 0, "v": 0}
         for gen, exp in self.blocks:
@@ -84,6 +99,7 @@ class Word:
         return format_word(self)
 
 
+_set_blocks = Word.blocks.__set__  # the slot's setter: Word refuses setattr
 IDENTITY = Word()
 
 
@@ -119,7 +135,7 @@ def concat(*words: Word) -> Word:
     return reduce(blocks)
 
 
-def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w = conjugator * core * conjugator^-1`` with a cyclically
     reduced core (first and last blocks cannot merge); the conjugator is a
     block prefix of w."""
@@ -136,7 +152,7 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     return Word(blocks[i:j + 1]), Word(blocks[:i])
 
 
-def _conjugacy_key(w: Word) -> Tuple[Block, ...]:
+def _conjugacy_key(w: Word) -> tuple[Block, ...]:
     """Least rotation of the cyclic core's blocks: equal exactly for
     conjugate words; the identity maps to ``()``."""
     blocks = cyclic_reduce(w)[0].blocks
@@ -148,7 +164,7 @@ def are_conjugate(a: Word, b: Word) -> bool:
     return _conjugacy_key(a) == _conjugacy_key(b)
 
 
-def root(w: Word) -> Tuple[Word, int]:
+def root(w: Word) -> tuple[Word, int]:
     """Maximal root: ``w = r^k`` with ``k`` maximal, via period detection
     on the cyclic core's blocks, conjugated back."""
     if w.is_identity:
@@ -177,7 +193,7 @@ def apply_endomorphism(w: Word, images: Mapping[str, Word]) -> Word:
     return reduce(blocks)
 
 
-def _whitehead_maps() -> Tuple[Mapping[str, Word], ...]:
+def _whitehead_maps() -> tuple[Mapping[str, Word], ...]:
     # Rank-2 type-II Whitehead automorphisms: for multiplier a in
     # {u, u^-1, v, v^-1} the non-multiplier generator x maps to x*a or
     # a^-1*x while a is fixed.  Eight maps in total.  x -> a^-1*x*a is
@@ -193,7 +209,7 @@ def _whitehead_maps() -> Tuple[Mapping[str, Word], ...]:
     return tuple(maps)
 
 
-_WHITEHEAD_MAPS: Tuple[Mapping[str, Word], ...] = _whitehead_maps()
+_WHITEHEAD_MAPS: tuple[Mapping[str, Word], ...] = _whitehead_maps()
 
 
 def whitehead_minimize(w: Word) -> Word:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Tuple
 
+from ._record import Record
 from .classify import AnnulusType
 from .freegroup import check_digit_budget, excerpt
 
@@ -32,8 +31,7 @@ class NodeKind(str, enum.Enum):
     SIMPLE = "simple"
 
 
-@dataclass(frozen=True)
-class SlopePair:
+class SlopePair(Record):
     """Boundary-slope pair of a separating-disk splitting.
 
     ``recip`` encodes the unordered pair (p/q, q/p) with p*q != 0;
@@ -99,13 +97,12 @@ class SlopePair:
         return f"{self.form}:{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     a: str
     b: str
-    label: Optional[AnnulusType] = None
-    slope: Optional[SlopePair] = None
+    label: AnnulusType | None = None
+    slope: SlopePair | None = None
 
     @property
     def is_loop(self) -> bool:
@@ -116,10 +113,9 @@ class Edge:
         return frozenset({self.a, self.b})
 
 
-@dataclass(frozen=True)
-class JsjGraph:
-    nodes: Tuple[Tuple[str, NodeKind], ...]
-    edges: Tuple[Edge, ...] = ()
+class JsjGraph(Record):
+    nodes: tuple[tuple[str, NodeKind], ...]
+    edges: tuple[Edge, ...] = ()
 
     def bigon_groups(self) -> list[list[Edge]]:
         """Groups of >= 2 parallel non-loop edges (same endpoint pair)."""
@@ -147,8 +143,7 @@ _LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     rule: str
     subject: str
 
@@ -327,7 +322,7 @@ def parse_graph(text: str) -> JsjGraph:
 
     Blank lines and ``#`` comments are ignored.
     """
-    nodes: list[Tuple[str, NodeKind]] = []
+    nodes: list[tuple[str, NodeKind]] = []
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -17,9 +17,9 @@ The mirrored convention is the calibration for which the triviality gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Tuple
+
+from ._record import Record
 
 CONVENTIONS = ("literal", "mirrored")
 
@@ -29,8 +29,7 @@ CONVENTIONS = ("literal", "mirrored")
 TWIST_DIGIT_BUDGET = 4300
 
 
-@dataclass(frozen=True)
-class ExtendedRational:
+class ExtendedRational(Record):
     """A rational in lowest terms with denominator >= 0; (1, 0) is infinity."""
 
     numerator: int
@@ -67,11 +66,10 @@ class ExtendedRational:
 INFINITY = ExtendedRational(1, 0)
 
 
-@dataclass(frozen=True)
-class RationalTangle:
+class RationalTangle(Record):
     """Twist vector of a rational tangle; the list must be nonempty."""
 
-    twists: Tuple[int, ...]
+    twists: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.twists:
@@ -82,7 +80,7 @@ class RationalTangle:
         return cls(tuple(twists))
 
 
-def _apply_convention(twists: Tuple[int, ...], convention: str) -> Tuple[int, ...]:
+def _apply_convention(twists: tuple[int, ...], convention: str) -> tuple[int, ...]:
     if convention == "literal":
         return twists
     if convention == "mirrored":
@@ -104,7 +102,7 @@ def cf_eval(tangle: RationalTangle, convention: str = "literal") -> ExtendedRati
     return ExtendedRational.of(num, den)
 
 
-def check_twist_budget(twists: Tuple[int, ...]) -> None:
+def check_twist_budget(twists: tuple[int, ...]) -> None:
     """Refuse twists with prod(|a_i| + 1) >= 10^TWIST_DIGIT_BUDGET, naming
     the budget.  The product bounds |numerator| and the denominator of
     :func:`cf_eval`: each step maps (num, den) to (a*num + den, num)."""

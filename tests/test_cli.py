@@ -305,6 +305,34 @@ def test_text_census_memory_follows_output():
     assert census <= startup + 2048, (startup, census)
 
 
+# Runs ``python -m hkannuli`` in this interpreter and writes to stderr the
+# modules the command added to the ones the bare interpreter had loaded.
+_ADDED_MODULES = """
+import runpy, sys
+bare = set(sys.modules)
+try:
+    runpy.run_module("hkannuli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_cli_imports_only_what_it_uses(json_flag):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ADDED_MODULES, "classify", "type-m",
+                           "--p", "2", *json_flag],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, bool(proc.stdout)) == (0, True), proc.stderr
+    added = set(proc.stderr.split())
+    assert "hkannuli.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast"}
+    assert ("json" in added) == bool(json_flag)
+
+
 NINES = "9" * DIGIT_BUDGET
 
 
