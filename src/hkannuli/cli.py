@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from . import arcs, boundary, classify, jsjgraph, tangle
 from .boundary import ParamError
@@ -18,7 +18,30 @@ from .freegroup import (are_conjugate, check_digit_budget, excerpt, format_word,
                         is_power_of_primitive, is_primitive, parse_word)
 
 # Each handler returns (inputs, result, text lines, warnings); ``run``
-# builds the report from them and writes it as JSON or as the lines.
+# builds the report from them and writes it as JSON or as the lines.  A
+# result value or a line that is long but regular is an iterator of its
+# text's pieces, written as they come, so memory follows the output rather
+# than its length.
+
+
+# At most this many crossing runs, or census n, go into one piece of text.
+_BATCH = 4096
+
+
+def _list_text(runs: Sequence[tuple], field: int, texts: dict, sep: str,
+               prefix: str = "") -> Iterator[str]:
+    """``prefix + "[" + items joined by sep + "]"``, where each run
+    ``(..., count)`` stands for ``count`` items of text ``texts[run[field]]``:
+    one string repetition per run, runs joined in batches."""
+    if not runs:
+        yield prefix + "[]"
+        return
+    texts = {key: sep + text for key, text in texts.items()}
+    first = texts[runs[0][field]]
+    yield prefix + "[" + first[len(sep):] + first * (runs[0][-1] - 1)
+    for start in range(1, len(runs), _BATCH):
+        yield "".join([texts[run[field]] * run[-1] for run in runs[start:start + _BATCH]])
+    yield "]"
 
 
 def _params_from_args(args: argparse.Namespace) -> boundary.TypeKParams:
@@ -39,20 +62,28 @@ def _cmd_tangle_eval(args: argparse.Namespace):
 
 
 def _cmd_arcs_crossings(args: argparse.Namespace):
-    seq, ext = arcs.reference_crossings(args.rho, args.beta)
-    kinds = arcs.crossing_duals(args.rho, args.beta)
-    zetas = list(ext.zetas())
-    return ({"rho": args.rho, "beta": args.beta},
-            {"A": list(seq.entries),
-             "A_hat": list(ext.entries),
-             "kappa": list(ext.kappa),
-             "zeta": zetas,
-             "duals": list(kinds),
-             "sigma": ext.sigma},
-            [f"A      = {list(seq.entries)}",
-             f"A-hat  = {list(ext.entries)}",
-             f"kappa  = {list(ext.kappa)}",
-             f"zeta   = {zetas}"], [])
+    # A-hat and its duals have 2*|beta| + rho entries but O(|beta|) runs
+    # (dual, sign, count): they are written as repeated text per run
+    runs = arcs.crossing_runs(args.rho, args.beta)
+    base, kappa, zetas = arcs.base_layout(runs)
+    inputs = {"rho": args.rho, "beta": args.beta}
+    if args.json:  # json.dumps writes a tuple as a list
+        return (inputs,
+                {"A": base,
+                 "A_hat": _list_text(runs, 1, _SIGNS, ","),
+                 "kappa": kappa,
+                 "zeta": zetas,
+                 "duals": _list_text(runs, 0, _DUALS, ","),
+                 "sigma": sum(run[2] for run in runs)}, [], [])
+    return (inputs, {},
+            [f"A      = {list(base)}",
+             _list_text(runs, 1, _SIGNS, ", ", "A-hat  = "),
+             f"kappa  = {list(kappa)}",
+             f"zeta   = {list(zetas)}"], [])
+
+
+_SIGNS = {1: "1", -1: "-1"}
+_DUALS = {dual: f'"{dual}"' for dual in ("d_e", "d_o", "s0p")}
 
 
 def _params_json(params: boundary.TypeKParams) -> dict:
@@ -70,12 +101,11 @@ def _cmd_boundary_word(args: argparse.Namespace):
 
 
 def _census_payload(report: classify.CensusReport) -> dict:
-    """The --json census, one record per n: O(span), so text mode skips it."""
+    """The --json census; ``per_n``, one record per n, is spliced in as text."""
     return {
         "params": _params_json(report.params),
         "window": list(report.window),
-        "per_n": [{"n": n, "verdict": outcome.verdict.value, "evidence": outcome.evidence}
-                  for n, outcome in report.outcomes()],
+        "per_n": _per_n_text(report),
         "totals": {
             "certified": report.certified_count,
             "inconclusive_separating": len(report.inconclusive),
@@ -83,6 +113,35 @@ def _census_payload(report: classify.CensusReport) -> dict:
             "non_certified_total": report.total_non_certified,
         },
     }
+
+
+def _per_n_text(report: classify.CensusReport) -> Iterator[str]:
+    """``per_n`` as JSON text.  The at most four window entries go through
+    ``json.dumps``; every other n has the same Cho-Koda record, so each run
+    of them is one join of the n between that record's two constant halves."""
+    import json
+
+    def record(n: int, outcome: classify.ClassificationOutcome) -> str:
+        return json.dumps({"n": n, "verdict": outcome.verdict.value,
+                           "evidence": outcome.evidence},
+                          sort_keys=True, separators=(",", ":"))
+
+    head, tail = record(0, classify.CHO_KODA).split('"n":0')
+    head += '"n":'
+    between = tail + "," + head
+    # window entries are sorted by n; the span's end closes the last run
+    bounds = [(e.n, record(e.n, e.outcome)) for e in report.window_entries]
+    yield "["
+    sep, n = "", -report.span
+    for stop, text in bounds + [(report.span + 1, None)]:
+        for start in range(n, stop, _BATCH):
+            numbers = map(str, range(start, min(start + _BATCH, stop)))
+            yield sep + head + between.join(numbers) + tail
+            sep = ","
+        if text is not None:
+            yield sep + text
+            sep, n = ",", stop + 1
+    yield "]"
 
 
 def _cmd_classify_typek(args: argparse.Namespace):
@@ -281,17 +340,48 @@ def _run(args: argparse.Namespace) -> int:
             message = f"[Errno {exc.errno}] {exc.strerror}: {excerpt(exc.filename)}"
         sys.stderr.write(f"error: {prefix}{message}\n")
         return 1
-    if args.json:
-        import json  # here, not at startup: text mode needs none
-
-        report = {"command": args.command_name, "inputs": inputs, "result": result,
-                  "warnings": warnings}
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
-    else:
-        for line in lines + [f"warning: {w}" for w in warnings]:
-            sys.stdout.write(line + "\n")
+    for piece in _report_text(args, inputs, result, lines, warnings):
+        sys.stdout.write(piece)
     return 1 if result.get("violations") else 0
+
+
+# Stands in for each text iterator inside the JSON report; only the census
+# and `arcs crossings` have them, and no text of theirs contains "\0".
+_MARK = "\0"
+
+
+def _report_text(args: argparse.Namespace, inputs: dict, result: dict, lines: list,
+                 warnings: list) -> Iterator[str]:
+    """The report as pieces of text: the JSON report with each text
+    iterator's pieces spliced in where ``json.dumps`` put its mark, or the
+    lines and then the warnings."""
+    if not args.json:
+        for line in lines + [f"warning: {w}" for w in warnings]:
+            if isinstance(line, str):
+                yield line
+            else:
+                yield from line
+            yield "\n"
+        return
+    import json  # here, not at startup: text mode needs none
+
+    spliced = []
+
+    def mark(value):
+        if not isinstance(value, Iterator):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        spliced.append(value)
+        return _MARK
+
+    report = {"command": args.command_name, "inputs": inputs, "result": result,
+              "warnings": warnings}
+    parts = json.dumps(report, sort_keys=True, separators=(",", ":"),
+                       default=mark).split(json.dumps(_MARK))
+    yield parts[0]
+    for pieces, part in zip(spliced, parts[1:], strict=True):
+        yield from pieces
+        yield part
+    yield "\n"
 
 
 def main() -> None:

@@ -106,7 +106,14 @@ class TestReferenceCrossings:
         pairs = list(valid_slopes(100, 20))
         assert len(pairs) == 3320
         for rho, beta in pairs:
-            assert _crossing_events(rho, beta) == sorted_crossings(rho, beta), (rho, beta)
+            runs = _crossing_events(rho, beta)
+            expanded = tuple((dual, sign) for dual, sign, count in runs for _ in range(count))
+            assert expanded == sorted_crossings(rho, beta), (rho, beta)
+            # maximal runs: a column is one crossing, and no two neighbours share a dual
+            assert all(count >= 1 and (dual == "s0p" or count == 1)
+                       for dual, _, count in runs), (rho, beta)
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), (rho, beta)
+            assert len(runs) <= 4 * abs(beta) + 1, (rho, beta)
 
     def test_counts_and_alternation(self):
         for rho, beta in valid_slopes(8, 8):

@@ -271,38 +271,60 @@ TYPEK_TEXT = ["classify", "type-k", "--p", "3", "--q", "2", "--delta", "1", "--r
                          ids=["type-k", "five-two"])
 def test_text_census_builds_no_payload(monkeypatch, capsys, argv):
     def refuse(report):
-        raise AssertionError("text mode built the per-n payload")
+        raise AssertionError("text mode rendered the per-n payload")
 
-    monkeypatch.setattr(cli, "_census_payload", refuse)
+    monkeypatch.setattr(cli, "_per_n_text", refuse)
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and out.startswith("window: ")
 
 
 # Linux carries a parent's peak RSS into the ru_maxrss of the child it execs,
-# so a small interpreter, not the test process, starts the measured children.
+# so a small interpreter, not the test process, starts the measured children;
+# it prints each one's exit code, ru_maxrss in KiB and stdout size in bytes.
 _PEAK_KIB = """
 import os, subprocess, sys
 for line in sys.argv[1:]:
     proc = subprocess.Popen([sys.executable, "-m", "hkannuli"] + line.split(),
-                            stdout=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE)
+    size = 0
+    while chunk := proc.stdout.read(1 << 16):
+        size += len(chunk)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    print(proc.returncode, usage.ru_maxrss)
+    print(proc.returncode, usage.ru_maxrss, size)
 """
+_WAIT4 = pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                            reason="reads the child's ru_maxrss in KiB through os.wait4")
 
 
-@pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
-                    reason="reads the child's ru_maxrss in KiB through os.wait4")
-def test_text_census_memory_follows_output():
+def peaks(*lines):
+    """(exit code, peak KiB, stdout bytes) of each command line, in turn."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_KIB, "example five-two --range 10",
-                           " ".join(TYPEK_TEXT)],
+    proc = subprocess.run([sys.executable, "-c", _PEAK_KIB, *lines],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
-    (startup_code, startup), (census_code, census) = (
-        map(int, line.split()) for line in proc.stdout.splitlines())
+    return [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+
+
+@_WAIT4
+def test_text_census_memory_follows_output():
+    (startup_code, startup, _), (census_code, census, _) = peaks(
+        "example five-two --range 10", " ".join(TYPEK_TEXT))
     assert (startup_code, census_code) == (0, 0)
     assert census <= startup + 2048, (startup, census)
+
+
+@_WAIT4
+@pytest.mark.parametrize("line", [
+    " ".join(TYPEK_TEXT) + " --json",
+    "arcs crossings --rho 999999 --beta 0 --json",
+    "arcs crossings --rho 999999 --beta 0",
+], ids=["type-k-json", "arcs-json", "arcs-text"])
+def test_long_output_memory_follows_output(line):
+    # at the crossing and span budgets: 11 MB, 8 MB and 3 MB of stdout
+    [(code, peak, size)] = peaks(line)
+    assert code == 0 and size > 2_000_000
+    assert peak * 1024 < 16_000_000 + 3 * size, (peak, size)
 
 
 # Runs ``python -m hkannuli`` in this interpreter and writes to stderr the
