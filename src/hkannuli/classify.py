@@ -10,10 +10,12 @@ cases takes geometric input (knot triviality, symmetry) outside this
 calculus, and the library only ships the known answers for the worked
 5_2 example as static data.
 
-The census certifies every n outside the exclusion window
-(:func:`non_type41_window`) without building its word or keeping an entry
-for it, and builds explicit words only for the at most four n inside it, so
-a census costs O(|beta|) per window entry whatever its span.
+The census takes every verdict from the case analysis of the exclusion
+window (:func:`non_type41_window`): Cho-Koda certifies every n outside it,
+and the same analysis names the at most four n inside it that the criterion
+spares.  A census builds no boundary word and costs O(1) whatever its span
+and beta; a spared n's word is built, and its root taken, only when its
+witness is read.
 
 The type-M and type-S handlebody-knots have exactly two non-characteristic
 annuli and closed-form classifiers; the tangle-constructed knots feeding
@@ -96,7 +98,8 @@ def non_type41_window(params: TypeKParams) -> tuple[int, ...]:
     * beta' > 0: { m in {0, q} } union { t in {0, 1} }.  For m, t != 0
       nothing cancels (A ends in u, A^-1 starts with u^-1) and the word,
       from v^q to u^t, is cyclically reduced with u-exponents {1, -1, t} and
-      v-exponents {q, m, -q}: both non-constant, so the criterion fires.
+      v-exponents {q, m, -q}: both non-constant, so the criterion fires,
+      also at the window's m = q and t = 1.
     * beta' = 0: { |m| <= 1 } union { |t| <= 1 }, exactly the n where the
       core v^m u^t, one block of each generator, does not fire.
 
@@ -112,15 +115,36 @@ def non_type41_window(params: TypeKParams) -> tuple[int, ...]:
     * beta' = 0: a spared core v^m u^t has |m| <= 1 or |t| <= 1, so it is
       one block g^e, or v^(+-1) u^t, or v^m u^(+-1); the last two are
       primitive, forming a basis with u and with v respectively.
+
+    So the spared n are exactly those with m = 0 or t = 0 for beta' > 0,
+    and the whole window for beta' = 0; :func:`typeK_census` reads them off
+    the same analysis.
     """
+    return _window_and_spared(params)[0]
+
+
+def _window_and_spared(params: TypeKParams) -> tuple[tuple[int, ...], set[int]]:
+    """The sorted window and the n in it that Cho-Koda spares, by the case
+    analysis of :func:`non_type41_window`."""
     if params.beta < 0:
         params, _ = boundary.normalize_negative_beta(params)
+    if params.beta == 0:
+        window = spared = _hits(params, (-1, 0, 1), (-1, 0, 1))
+    else:
+        # (m targets, t targets) of the window and of the spared n, side by side
+        window, spared = _hits(params, (0, params.q), (0, 1)), _hits(params, (0,), (0,))
+    return tuple(sorted(window)), spared
+
+
+def _hits(params: TypeKParams, m_targets: tuple[int, ...],
+          t_targets: tuple[int, ...]) -> set[int]:
+    """The n with m = q(n + mu) + delta in m_targets or t = lambda + n in
+    t_targets."""
     q, delta = params.q, params.delta
-    m_targets, t_targets = ((0, q), (0, 1)) if params.beta > 0 else ((-1, 0, 1), (-1, 0, 1))
     # q(n + mu) + delta = m has a solution iff q | m - delta
-    window = {(m - delta) // q - params.mu for m in m_targets if (m - delta) % q == 0}
-    window.update(t - params.lam for t in t_targets)
-    return tuple(sorted(window))
+    hits = {(m - delta) // q - params.mu for m in m_targets if (m - delta) % q == 0}
+    hits.update(t - params.lam for t in t_targets)
+    return hits
 
 
 def classify_typeM(p: int) -> AnnulusType:
@@ -216,13 +240,15 @@ class CensusEntry(Record):
 
 
 class CensusReport(Record):
-    """A census of the n with |n| <= span.  Only the window n inside the
-    span are stored; every other n is certified by Cho-Koda."""
+    """A census of the n with |n| <= span.  Only the inconclusive n, the
+    window n inside the span that Cho-Koda spares, are stored; every other
+    n is certified by Cho-Koda.  No witness is stored: reading
+    ``window_entries``, ``entries`` or ``outcomes`` builds them."""
 
     params: TypeKParams
     span: int
     window: tuple[int, ...]
-    window_entries: tuple[CensusEntry, ...]
+    inconclusive: tuple[int, ...]
     nonseparating_type: AnnulusType
 
     def outcomes(self) -> Iterator[tuple[int, ClassificationOutcome]]:
@@ -236,9 +262,14 @@ class CensusReport(Record):
         return tuple([CensusEntry(n, outcome) for n, outcome in self.outcomes()])
 
     @property
-    def inconclusive(self) -> tuple[int, ...]:
+    def window_entries(self) -> tuple[CensusEntry, ...]:
+        """One entry per window n inside the span, built on every read: an
+        inconclusive n's word is built for its witness root, O(|beta|) each;
+        every other n reads the shared Cho-Koda outcome."""
         # a list, not a generator: see Word.exponents
-        return tuple([e.n for e in self.window_entries if not e.outcome.certified])
+        return tuple([CensusEntry(n, classify_typeK_annulus(self.params, n)
+                                  if n in self.inconclusive else CHO_KODA)
+                      for n in self.window if -self.span <= n <= self.span])
 
     @property
     def certified_count(self) -> int:
@@ -258,10 +289,13 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
     """Classify every separating annulus with |n| <= span and account for
     the unique non-separating annulus.
 
-    Every n outside :func:`non_type41_window` is certified by Cho-Koda
-    without building its word or an entry; only the at most four n inside
-    it go through :func:`classify_typeK_annulus`.  The cost is O(|beta|)
-    for each of those, whatever the span; reading ``entries`` is O(span).
+    Every verdict comes from the case analysis of
+    :func:`non_type41_window`: Cho-Koda certifies every n outside the
+    window, and of the at most four n inside it, the analysis names those
+    the criterion spares.  No boundary word is built, so the cost is O(1)
+    whatever the span and beta.  Reading ``window_entries`` builds the word
+    and root of each inconclusive n, O(|beta|) each, and reading
+    ``entries`` is O(span) besides.
 
     The non-separating annulus has slope pair (p/q, pq) with p not in
     {0, +-1}; a nontrivial slope rules out type 3-3ii, so it is 3-3i.
@@ -270,16 +304,14 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise ValueError("span must be positive")
     if span > SPAN_BUDGET:
         raise ValueError(f"span must be at most {SPAN_BUDGET}")
-    boundary.check_beta_budget(params.beta)  # the census may build no word at all
-    window = non_type41_window(params)
+    boundary.check_beta_budget(params.beta)  # the census builds no word at all
+    window, spared = _window_and_spared(params)
+    inconclusive = tuple([n for n in window if n in spared and -span <= n <= span])
+    if len(inconclusive) > 4:
+        raise AssertionError("more than four inconclusive separating annuli")
     # positional records here and in classify_typeK_annulus: keywords take
     # Record's slower binding path, once per census
-    window_entries = tuple([CensusEntry(n, classify_typeK_annulus(params, n))
-                            for n in window if -span <= n <= span])
-    report = CensusReport(params, span, window, window_entries, AnnulusType.T3_3i)
-    if len(report.inconclusive) > 4:
-        raise AssertionError("more than four inconclusive separating annuli")
-    return report
+    return CensusReport(params, span, window, inconclusive, AnnulusType.T3_3i)
 
 
 # -- the worked 5_2 example --------------------------------------------------

@@ -143,7 +143,30 @@ class TestClosedForm:
             assert report.window == non_type41_window(params)
             assert report.certified_count == len(entries) - len(inconclusive)
 
-    def test_words_built_only_inside_window(self, monkeypatch):
+    def test_census_builds_no_word(self, monkeypatch):
+        """The verdicts come from the window's case analysis: at span 1 and at
+        the span budget the census classifies no n, builds no boundary word
+        and no entry."""
+        rng = random.Random(43)
+        families = [FIVE_TWO] + [sample_typek_params(rng) for _ in range(100)]
+        spared = {params: [n for n in non_type41_window(params)
+                           if not classify_typeK_annulus(params, n).certified]
+                  for params in families}
+
+        def refuse(*args):
+            raise AssertionError("the census built a word, an outcome or an entry")
+
+        for namespace, name in [(classify, "classify_typeK_annulus"),
+                                (boundary, "boundary_word"), (classify, "CensusEntry")]:
+            monkeypatch.setattr(namespace, name, refuse)
+        for params in families:
+            for span in (1, classify.SPAN_BUDGET):
+                report = typeK_census(params, span)
+                in_span = tuple(n for n in spared[params] if -span <= n <= span)
+                assert report.inconclusive == in_span, (params, span)
+                assert report.certified_count == 2 * span + 1 - len(in_span)
+
+    def test_window_entries_witness_only_inconclusive(self, monkeypatch):
         calls = []
         per_n = classify.classify_typeK_annulus
 
@@ -152,39 +175,33 @@ class TestClosedForm:
             return per_n(params, n)
 
         monkeypatch.setattr(classify, "classify_typeK_annulus", counted)
-        assert typeK_census(FIVE_TWO, 1000).inconclusive == (-2, -1, 0, 1)
-        assert calls == [-2, -1, 0, 1]
-        rng = random.Random(43)
-        for _ in range(100):
-            params = sample_typek_params(rng)
-            calls.clear()
-            typeK_census(params, 1000)
-            in_span = [n for n in non_type41_window(params) if -1000 <= n <= 1000]
-            assert calls == in_span, params
-        # a window reaching past the span: only the n inside it get a word
-        calls.clear()
+        rng = random.Random(53)
+        for params in [FIVE_TWO] + [sample_typek_params(rng) for _ in range(100)]:
+            for span in (1, 1000):
+                report = typeK_census(params, span)
+                assert calls == []
+                entries = report.window_entries
+                assert calls == list(report.inconclusive), (params, span)
+                calls.clear()
+                assert [e.n for e in entries] == [n for n in report.window
+                                                  if -span <= n <= span]
+                for e in entries:
+                    assert e.outcome.certified == (e.n not in report.inconclusive)
+        # a window reaching past the span: only the n inside it are read
         report = typeK_census(FIVE_TWO, 1)
-        assert calls == [-1, 0, 1]
         assert report.window == (-2, -1, 0, 1)
         assert report.inconclusive == (-1, 0, 1)
         assert (report.entries, report.inconclusive) == reference_census(FIVE_TWO, 1)
 
-    def test_entries_built_only_inside_window(self, monkeypatch):
-        built = []
-
-        class Counted(CensusEntry):
-            def __init__(self, n, outcome):
-                built.append(n)
-                super().__init__(n, outcome)
-
-        monkeypatch.setattr(classify, "CensusEntry", Counted)
-        span = classify.SPAN_BUDGET
-        rng = random.Random(53)
-        for params in [FIVE_TWO] + [sample_typek_params(rng) for _ in range(50)]:
-            built.clear()
-            report = typeK_census(params, span)
-            assert built == [n for n in non_type41_window(params) if -span <= n <= span]
-            assert report.certified_count == 2 * span + 1 - len(report.inconclusive)
+    def test_census_inconclusive_matches_criterion_on_grid(self):
+        """Exhaustive on the grid: a window n is inconclusive in the census
+        exactly when the word-level criterion spares its word."""
+        for params in grid_families():
+            report = typeK_census(params, 12)
+            assert all(-12 <= n <= 12 for n in report.window), params
+            spared = tuple(n for n in report.window
+                           if not classify_typeK_annulus(params, n).certified)
+            assert report.inconclusive == spared, params
 
 
 class TestCensus:

@@ -307,9 +307,13 @@ def peaks(*lines):
 
 
 @_WAIT4
-def test_text_census_memory_follows_output():
+@pytest.mark.parametrize("beta", [100, 100_000, -100_000])
+def test_text_census_memory_follows_output(beta):
+    # the census builds no word, so the beta budget costs no memory either
+    argv = list(TYPEK_TEXT)
+    argv[argv.index("--beta") + 1] = str(beta)
     (startup_code, startup, _), (census_code, census, _) = peaks(
-        "example five-two --range 10", " ".join(TYPEK_TEXT))
+        "example five-two --range 10", " ".join(argv))
     assert (startup_code, census_code) == (0, 0)
     assert census <= startup + 2048, (startup, census)
 

@@ -32,8 +32,7 @@ RECORDS = {
     EmParams: ({"l": 3, "m": 1, "n": 0, "p": 1}, {"n": 2}),
     CensusEntry: ({"n": 5, "outcome": CHO_KODA}, {"n": -5}),
     CensusReport: ({"params": FIVE_TWO, "span": 1, "window": (-2, -1, 0, 1),
-                    "window_entries": (CensusEntry(0, ClassificationOutcome(
-                        Verdict.INCONCLUSIVE, witness=Word((("u", 1),)))),),
+                    "inconclusive": (-1, 0, 1),
                     "nonseparating_type": AnnulusType.T3_3i}, {"span": 2}),
     SlopePair: ({"form": "recip", "p": 2, "q": 3}, {"q": 5}),
     Edge: ({"id": "e1", "a": "x", "b": "y", "label": AnnulusType.T2_1, "slope": None},
