@@ -2,17 +2,16 @@
 
 Exact, dependency-free computations: rank-2 free-group word algebra with a
 Whitehead primitivity decision, rational-tangle continued-fraction values, the
-arc-coordinate crossing calculus on the 4-punctured sphere, boundary words
+reference-arc crossing calculus on the 4-punctured sphere, boundary words
 of the twisted Moebius-band families, the type 4-1 / type-M / type-S
 classification pipelines, and a rule validator for decomposition graphs.
 """
 
-from .arcs import (ArcCoordinate, PairedUnitSequence, SequenceExtension,
-                   alternating, arc_word, crossing_duals, interpolating,
+from .arcs import (PairedUnitSequence, SequenceExtension, alternating, interpolating,
                    reference_crossings)
 from .boundary import (ParamError, TypeKParams, boundary_word, delta_claim_gamma,
-                       homology_class, k_minus_word, k_plus_word,
-                       normalize_negative_beta, params_violations, validate_params)
+                       homology_class, normalize_negative_beta, params_violations,
+                       validate_params)
 from .classify import (AnnulusType, CensusReport, ClassificationOutcome, EmGraph,
                        EmParams, ExternalFactError, Verdict, classify_typeK_annulus,
                        classify_typeM, classify_typeS, em_invariants, em_jsj_graph,

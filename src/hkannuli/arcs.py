@@ -36,14 +36,11 @@ Closed-form anchors used to pin the conventions:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
 
 from ._record import Record
 from .freegroup import Word, concat
-
-ARC_SYMBOLS = ("Ce", "Co_hat", "v_hat", "s0")
 
 # Largest crossing count 2*|beta| + rho.  The crossings come as O(|beta|)
 # runs, so the budget bounds the output: at it, `arcs crossings --json`
@@ -54,22 +51,6 @@ CROSSING_BUDGET = 1_000_000
 
 def slope_is_valid(rho: int, beta: int) -> bool:
     return rho >= 0 and gcd(2 * rho, abs(2 * beta + 1)) == 1
-
-
-class ArcCoordinate(Record):
-    """Coordinate (slope, twists): slope 2*rho/(2*beta+1), twists (lam, mu)."""
-
-    rho: int
-    beta: int
-    lam: int
-    mu: int
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative; the slope sign lives in 2*beta+1")
-        if not slope_is_valid(self.rho, self.beta):
-            raise ValueError(
-                f"2*rho and 2*beta+1 must be coprime; got rho={self.rho}, beta={self.beta}")
 
 
 class PairedUnitSequence(Record):
@@ -209,11 +190,6 @@ def reference_crossings(rho: int, beta: int) -> tuple[PairedUnitSequence, Sequen
     return PairedUnitSequence(base), SequenceExtension(_expand(runs, 1), kappa)
 
 
-def crossing_duals(rho: int, beta: int) -> tuple[str, ...]:
-    """The dual arc met at each extension position, in crossing order."""
-    return _expand(_crossing_events(rho, beta), 0)
-
-
 def alternating(seq: PairedUnitSequence, x: Word, y: Word) -> Word:
     """x^{v_1} y^{v_2} ... x^{v_{2 tau - 1}} y^{v_{2 tau}}, freely reduced."""
     parts = []
@@ -230,23 +206,3 @@ def interpolating(ext: SequenceExtension, x: Word, y: Word, z: Word) -> Word:
         parts.append((x if i % 2 == 0 else y) ** exp)
         parts.append(z ** zetas[i + 1])
     return concat(*parts)
-
-
-def arc_word(coord: ArcCoordinate, images: Mapping[str, Word]) -> Word:
-    """Word of the arc with the given coordinate:
-
-        Ce^lambda * Ahat_beta(Co_hat, Ce, v_hat) * Co_hat^mu * s0
-
-    with the interpolating arguments swapped to (Ce, Co_hat, v_hat) when
-    beta < 0.  ``images`` assigns a word to each of Ce, Co_hat, v_hat, s0.
-    """
-    missing = [s for s in ARC_SYMBOLS if s not in images]
-    if missing:
-        raise ValueError(f"images missing {missing}")
-    _, ext = reference_crossings(coord.rho, coord.beta)
-    ce, co, vh, s0 = (images[s] for s in ARC_SYMBOLS)
-    if coord.beta >= 0:
-        middle = interpolating(ext, co, ce, vh)
-    else:
-        middle = interpolating(ext, ce, co, vh)
-    return concat(ce ** coord.lam, middle, co ** coord.mu, s0)

@@ -12,6 +12,16 @@ group, the boundary of the n-th Moebius band is conjugate to
 with (front, back) = (A, A^-1), A = (v^q u)^beta, for beta >= 0 and
 (u^-1 A' v^q, v^q A'^-1 u^-1), A' = (v^q u)^(-beta-1), for beta < 0: the
 arc's d-crossing signs are constant, so rho enters only the validity check.
+
+This word is the product of the two half-boundary arcs
+
+    k_plus(lambda_plus, mu_plus) = u^lambda_plus * front * v^(q*mu_plus)
+    k_minus(lambda_minus, mu_minus) = v^(delta + q*mu_minus) * back * u^lambda_minus
+
+at twists (0, n + mu) and (lambda + n, 0): the arc words under l_2 -> u,
+l_1-hat -> v^q, v_hat -> 1, with connector images 1 and v^delta.  The
+tests hold them as k_plus_word and k_minus_word, checked against a walk
+along the arc's crossings.
 """
 
 from __future__ import annotations
@@ -92,34 +102,6 @@ def validate_params(p: int, q: int, delta: int, rho: int, beta: int,
     return TypeKParams(p, q, delta, rho, beta, lam, mu)
 
 
-def k_plus_word(params: TypeKParams, lam_plus: int, mu_plus: int) -> Word:
-    """Word of the forward half-boundary arc with split twists
-    (lambda_plus, mu_plus):
-
-        Ce^lam_plus * Ahat_beta(Co_hat, Ce, v_hat) * Co_hat^mu_plus * s0
-
-    under l_2 -> u, l_1-hat -> v^q, v_hat -> 1 (the separating-disk loop
-    dies in the handlebody group) and the identity connector image.  With
-    v_hat dead the interpolating word is the front of the alternating pair.
-    """
-    front, _ = _alternating_pair(params.q, params.beta)
-    return concat(U ** lam_plus, front, V ** (params.q * mu_plus))
-
-
-def k_minus_word(params: TypeKParams, lam_minus: int, mu_minus: int) -> Word:
-    """Word of the return half-boundary arc: the involution swapping the
-    two solid tori carries it to the forward arc, which inverts every
-    interpolating argument:
-
-        s0 * Co_hat^mu_minus * Ahat_beta(Ce^-1, Co_hat^-1, v_hat^-1) * Ce^lam_minus
-
-    (arguments swapped to (Co_hat^-1, Ce^-1) when beta < 0).  The
-    connector image is v^delta, and the middle is the back of the
-    alternating pair."""
-    _, back = _alternating_pair(params.q, params.beta)
-    return concat(V ** (params.delta + params.q * mu_minus), back, U ** lam_minus)
-
-
 def check_beta_budget(beta: int) -> None:
     """Reject |beta| above BETA_BUDGET, naming the budget."""
     if abs(beta) > BETA_BUDGET:
@@ -140,7 +122,8 @@ def _alternating_pair(q: int, beta: int) -> tuple[Word, Word]:
 
 
 def boundary_word(params: TypeKParams, n: int) -> Word:
-    """Conjugacy representative of the n-th Moebius band boundary."""
+    """Conjugacy representative of the n-th Moebius band boundary:
+    concat(k_plus_word(params, 0, n + mu), k_minus_word(params, lambda + n, 0))."""
     front, back = _alternating_pair(params.q, params.beta)
     middle = generator("v", params.q * (n + params.mu) + params.delta)
     tail = generator("u", params.lam + n)
@@ -158,8 +141,10 @@ def normalize_negative_beta(params: TypeKParams) -> tuple[TypeKParams, Word]:
     """
     if params.beta >= 0:
         raise ValueError("normalize_negative_beta requires beta < 0")
-    normalized = validate_params(params.p, params.q, params.delta, params.rho,
-                                 -params.beta - 1, params.lam - 2, params.mu + 2)
+    # valid in, valid out: |2*beta' + 1| = |2*beta + 1|, and beta' = 0
+    # exactly when beta = -1, where mu' - lambda' = mu - lambda + 4
+    normalized = TypeKParams(params.p, params.q, params.delta, params.rho,
+                             -params.beta - 1, params.lam - 2, params.mu + 2)
     return normalized, U.inverse()
 
 

@@ -175,11 +175,9 @@ def validate_structure(graph: JsjGraph) -> list[Violation]:
             if hub not in (edge.a, edge.b):
                 violations.append(Violation("central-piece-law", f"edge {edge.id}"))
 
+    degree = Counter(end for edge in graph.edges for end in (edge.a, edge.b))  # a loop twice
     for nid, kind in graph.nodes:
-        if kind is not NodeKind.SEIFERT:
-            continue
-        degree = sum((edge.a == nid) + (edge.b == nid) for edge in graph.edges)
-        if degree > 3:
+        if kind is NodeKind.SEIFERT and degree[nid] > 3:
             violations.append(Violation("seifert-frontier-law", f"node {nid}"))
 
     if len(graph.edges) > 3:

@@ -5,11 +5,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import valid_slopes, word_strategy
+from conftest import (ARC_SYMBOLS, ArcCoordinate, arc_word, crossing_duals, valid_slopes,
+                      word_strategy)
 from hkannuli import arcs
-from hkannuli.arcs import (ARC_SYMBOLS, ArcCoordinate, PairedUnitSequence,
-                           SequenceExtension, _crossing_events, alternating, arc_word,
-                           crossing_duals, interpolating, reference_crossings)
+from hkannuli.arcs import (PairedUnitSequence, SequenceExtension, _crossing_events,
+                           alternating, interpolating, reference_crossings)
 from hkannuli.freegroup import IDENTITY, concat, format_word, parse_word
 
 W = parse_word

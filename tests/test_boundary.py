@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from conftest import letters, sample_typek_params, valid_slopes
+from conftest import (ArcCoordinate, arc_word, k_minus_word, k_plus_word, letters,
+                      sample_typek_params, valid_slopes)
 from hkannuli import arcs, boundary
 from hkannuli.boundary import (ParamError, TypeKParams, boundary_word,
-                               delta_claim_gamma, homology_class, k_minus_word,
-                               k_plus_word, normalize_negative_beta,
-                               params_violations, validate_params)
+                               delta_claim_gamma, homology_class,
+                               normalize_negative_beta, params_violations,
+                               validate_params)
 from hkannuli.freegroup import (IDENTITY, U, V, are_conjugate, concat,
                                 format_word, parse_word)
 
@@ -31,9 +32,9 @@ def arc_walked_pair(q, rho, beta):
 def arc_walked_k_plus(params, lam_plus, mu_plus):
     """Reference: the forward arc word under l_2 -> u, l_1-hat -> v^q,
     v_hat -> 1 and the identity connector image."""
-    coord = arcs.ArcCoordinate(params.rho, params.beta, lam_plus, mu_plus)
+    coord = ArcCoordinate(params.rho, params.beta, lam_plus, mu_plus)
     images = {"Ce": U, "Co_hat": V ** params.q, "v_hat": IDENTITY, "s0": IDENTITY}
-    return arcs.arc_word(coord, images)
+    return arc_word(coord, images)
 
 
 def arc_walked_k_minus(params, lam_minus, mu_minus):
@@ -151,6 +152,21 @@ class TestHalfBoundaryArcs:
                 cases += 1
         assert cases == 13400
 
+    def test_boundary_word_is_arc_product(self):
+        # exact equality, not conjugacy: the closed form is the paper's product
+        cases = 0
+        for q, p, delta, beta, lam, mu in itertools.product(
+                range(1, 5), (2, -3), range(4), range(-4, 5), range(-2, 3), range(-2, 3)):
+            rho = next(r for r in range(3) if arcs.slope_is_valid(r, beta))
+            if params_violations(p, q, delta, rho, beta, lam, mu):
+                continue
+            params = TypeKParams(p, q, delta, rho, beta, lam, mu)
+            for n in range(-3, 4):
+                product = concat(k_plus_word(params, 0, n + mu), k_minus_word(params, lam + n, 0))
+                assert boundary_word(params, n) == product, (params, n)
+                cases += 1
+        assert cases == 6685
+
     def test_rho_beyond_crossing_budget(self):
         far = validate_params(p=3, q=2, delta=1, rho=1_000_001, beta=1, lam=0, mu=0)
         near = validate_params(p=3, q=2, delta=1, rho=1, beta=1, lam=0, mu=0)
@@ -209,6 +225,20 @@ class TestNormalization:
         assert normalized.beta == expected
         assert (normalized.lam, normalized.mu) == (params.lam - 2, params.mu + 2)
         assert witness == U.inverse()
+
+    def test_rewrite_is_valid(self):
+        families = 0
+        for q, p, delta, beta, lam, mu in itertools.product(
+                range(1, 5), range(-7, 8), range(4), range(-4, 0), range(-2, 3), range(-2, 3)):
+            rho = next(r for r in range(3) if arcs.slope_is_valid(r, beta))
+            if params_violations(p, q, delta, rho, beta, lam, mu):
+                continue
+            normalized, _ = normalize_negative_beta(TypeKParams(p, q, delta, rho, beta, lam, mu))
+            fields = (p, q, delta, rho, -beta - 1, lam - 2, mu + 2)
+            assert params_violations(*fields) == [], fields
+            assert normalized == validate_params(*fields)
+            families += 1
+        assert families == 2496
 
     def test_rejects_nonnegative_beta(self):
         with pytest.raises(ValueError):

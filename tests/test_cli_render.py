@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import sample_typek_params, valid_slopes
+from conftest import crossing_duals, sample_typek_params, valid_slopes
 from hkannuli import arcs, classify, cli
 from hkannuli.cli import run
 
@@ -45,7 +45,7 @@ def reference_census_payload(report: classify.CensusReport) -> dict:
 def reference_arcs(rho: int, beta: int, as_json: bool) -> str:
     """`arcs crossings` from the expanded tuples: one object per crossing."""
     seq, ext = arcs.reference_crossings(rho, beta)
-    duals = arcs.crossing_duals(rho, beta)
+    duals = crossing_duals(rho, beta)
     kappa = [i + 1 for i, dual in enumerate(duals) if dual != "s0p"]
     assert tuple(kappa) == ext.kappa
     zetas = list(ext.zetas())

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import DIGIT_BUDGET
-from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, graph_k,
-                               graph_m, parse_graph, realizability_warnings,
+from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation,
+                               graph_k, graph_m, parse_graph, realizability_warnings,
                                slope_rules, trivial_graph, validate,
                                validate_labels, validate_slopes,
                                validate_structure)
@@ -106,6 +107,27 @@ class TestStructure:
         rules = rules_of(validate_structure(graph))
         assert "central-piece-law" in rules
         assert "seifert-frontier-law" not in rules
+
+    def test_violation_order(self):
+        # two over-degree Seifert nodes, one of them with a loop counted twice
+        graph = JsjGraph(
+            (("s", NodeKind.SEIFERT), ("x", NodeKind.SIMPLE), ("t", NodeKind.SEIFERT)),
+            (Edge("a", "t", "t"), Edge("b", "x", "t"), Edge("c", "x", "t"),
+             *(Edge(f"e{i}", "x", "s") for i in range(4))))
+        assert validate_structure(graph) == [
+            Violation("central-piece-law", "edge a"),
+            Violation("seifert-frontier-law", "node s"),
+            Violation("seifert-frontier-law", "node t"),
+            Violation("three-annulus-law", "7 edges"),
+        ]
+
+    def test_large_hub_in_linear_time(self):
+        size = 8000
+        graph = hub_graph(*(Edge(f"e{i}", "x", f"s{i}") for i in range(size)),
+                          extra_nodes=[f"s{i}" for i in range(size)])
+        started = time.perf_counter()
+        assert validate(graph) == [Violation("three-annulus-law", f"{size} edges")]
+        assert time.perf_counter() - started < 2.0  # quadratic degrees took 7 s
 
     def test_unknown_node_reference(self):
         graph = JsjGraph((("x", NodeKind.SIMPLE),), (Edge("a", "x", "ghost"),))

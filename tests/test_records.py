@@ -9,7 +9,8 @@ import pickle
 
 import pytest
 
-from hkannuli.arcs import ArcCoordinate, PairedUnitSequence, SequenceExtension
+from conftest import ArcCoordinate
+from hkannuli.arcs import PairedUnitSequence, SequenceExtension
 from hkannuli.boundary import TypeKParams
 from hkannuli.classify import (CHO_KODA, AnnulusType, CensusEntry, CensusReport,
                                ClassificationOutcome, EmParams, Verdict)
