@@ -1,22 +1,21 @@
-"""Shared test helpers: random valid parameter tuples, exhaustive word
-enumeration, an independent brute-force primitivity oracle, the arc walk
-that builds arc words crossing by crossing, and the half-boundary arcs."""
+"""Shared test helpers: random valid parameter tuples, adapters from the
+letter strings and primitive-orbit table of ``bench/oracle.py`` (which
+imports nothing from hkannuli, so the kernel never vouches for itself) to
+``Word``, the arc walk that builds arc words crossing by crossing, and the
+half-boundary arcs."""
 
 from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from functools import lru_cache
 from math import gcd
 
 import hypothesis.strategies as st
 
+import oracle
 from hkannuli import arcs, boundary
 from hkannuli._record import Record
-from hkannuli.freegroup import U, V, Word, concat, parse_word, reduce as word_reduce
-
-# letter codes 0..3 = u, u^-1, v, v^-1; inverse flips the low bit
-_CODE_BLOCK = {0: ("u", 1), 1: ("u", -1), 2: ("v", 1), 3: ("v", -1)}
+from hkannuli.freegroup import U, V, Word, concat, reduce as word_reduce
 
 
 def word_strategy(max_blocks: int = 6, max_exp: int = 3):
@@ -58,108 +57,13 @@ def sample_typek_params(rng: random.Random,
 
 
 def word_from_codes(codes) -> Word:
-    return word_reduce(_CODE_BLOCK[c] for c in codes)
+    return Word(oracle.blocks_of(codes))
 
 
-def canonical_rotation(codes) -> bytes:
-    data = bytes(codes)
-    if len(data) <= 1:
-        return data
-    doubled = data + data
-    n = len(data)
-    return min(doubled[i:i + n] for i in range(n))
-
-
-def cyclically_reduced_classes(max_len: int) -> dict:
-    """One representative letter string per cyclic rotation class, for all
-    cyclically reduced words of letter length <= max_len."""
-    classes: dict[bytes, tuple] = {}
-    for length in range(1, max_len + 1):
-        stack = [(c, (c,)) for c in range(4)]
-        while stack:
-            last, s = stack.pop()
-            if len(s) == length:
-                if length == 1 or s[0] != (s[-1] ^ 1):
-                    classes.setdefault(canonical_rotation(s), s)
-                continue
-            for nxt in range(4):
-                if nxt != (last ^ 1):
-                    stack.append((nxt, s + (nxt,)))
-    return classes
-
-
-def _elementary_automorphisms():
-    """Generators of the automorphism group, written out independently of
-    the implementation under test: Nielsen-style multiplier maps plus the
-    swap and the two inversions."""
-    images = []
-    for mult, fixed in (("u", "v"), ("v", "u")):
-        for sign in ("", "^-1"):
-            for pattern in ("{x} {a}", "{ainv} {x}", "{ainv} {x} {a}"):
-                a = mult if not sign else f"{mult}{sign}"
-                ainv = f"{mult}^-1" if not sign else mult
-                text = pattern.format(x=fixed, a=a, ainv=ainv)
-                images.append({mult: parse_word(mult), fixed: parse_word(text)})
-    images.append({"u": parse_word("v"), "v": parse_word("u")})
-    images.append({"u": parse_word("u^-1"), "v": parse_word("v")})
-    images.append({"u": parse_word("u"), "v": parse_word("v^-1")})
-    return images
-
-
-def _apply(word: Word, images) -> Word:
-    blocks = []
-    for gen, exp in word.blocks:
-        blocks.extend((images[gen] ** exp).blocks)
-    return word_reduce(blocks)
-
-
-def letters(word: Word):
-    """Yield single signed letters, e.g. v^2 u^-1 -> (v,1),(v,1),(u,-1)."""
-    for gen, exp in word.blocks:
-        sign = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            yield gen, sign
-
-
-def _codes(word: Word) -> tuple:
-    table = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
-    return tuple(table[(g, s)] for g, s in letters(word))
-
-
-@lru_cache(maxsize=None)
-def oracle_primitive_classes(max_len: int) -> frozenset:
-    """Canonical rotation keys of every primitive conjugacy class of cyclic
-    length <= max_len: breadth-first orbit of the generator u under the
-    elementary automorphisms, pruned at max_len (peak reduction guarantees
-    completeness under the pruning)."""
-    from hkannuli.freegroup import cyclic_reduce
-
-    autos = _elementary_automorphisms()
-    start = parse_word("u")
-    seen = {canonical_rotation(_codes(start))}
-    frontier = [start]
-    while frontier:
-        new = []
-        for w in frontier:
-            for images in autos:
-                core, _ = cyclic_reduce(_apply(w, images))
-                if core.is_identity or core.length() > max_len:
-                    continue
-                key = canonical_rotation(_codes(core))
-                if key not in seen:
-                    seen.add(key)
-                    new.append(core)
-        frontier = new
-    return frozenset(seen)
-
-
-def oracle_is_primitive(word: Word, max_len: int = 8) -> bool:
-    from hkannuli.freegroup import cyclic_reduce
-
-    core, _ = cyclic_reduce(word)
-    if core.length() > max_len:
-        raise ValueError("oracle table too small for this word")
-    return canonical_rotation(_codes(core)) in oracle_primitive_classes(max_len)
+def oracle_is_primitive(word: Word, max_len: int) -> bool:
+    """Primitivity of the class of ``word`` by lookup in the oracle's
+    primitive-orbit table of cyclic length <= max_len."""
+    return oracle.is_primitive(oracle.codes_of(oracle.cyclic_core(word.blocks)[0]), max_len)
 
 
 # -- the arc walk ---------------------------------------------------------------

@@ -8,8 +8,8 @@ from math import gcd
 
 import pytest
 
-from conftest import (cyclically_reduced_classes, sample_typek_params,
-                      word_from_codes)
+import oracle
+from conftest import sample_typek_params, word_from_codes
 from hkannuli import arcs, boundary, classify
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import (U, V, cho_koda_criterion, concat, format_word,
@@ -81,11 +81,13 @@ def test_criterion_3_delta_claim_grid():
 def test_criterion_4_cho_koda_soundness():
     started = time.time()
     fired = 0
-    for codes in cyclically_reduced_classes(10).values():
+    for codes in oracle.cyclic_classes(10):
         w = word_from_codes(codes)
         if cho_koda_criterion(w):
             fired += 1
             assert not is_power_of_primitive(w), format_word(w)
+            assert not oracle.is_power_of_primitive(codes, 10), format_word(w)
+    assert fired == 8494
     elapsed = time.time() - started
     assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.2f}s"
     _report(4, f"zero false positives over all length <= 10 words "

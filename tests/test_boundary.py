@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import (ArcCoordinate, arc_word, k_minus_word, k_plus_word, letters,
+import oracle
+from conftest import (ArcCoordinate, arc_word, k_minus_word, k_plus_word,
                       sample_typek_params, valid_slopes)
 from hkannuli import arcs, boundary
 from hkannuli.boundary import (ParamError, TypeKParams, boundary_word,
@@ -123,10 +124,9 @@ class TestBoundaryWord:
             params = sample_typek_params(rng)
             n = rng.randint(-8, 8)
             word = boundary_word(params, n)
-            counts = {"u": 0, "v": 0}
-            for gen, sign in letters(word):
-                counts[gen] += sign
-            assert (counts["u"], counts["v"]) == word.abelianization()
+            codes = oracle.codes_of(word.blocks)  # u, u^-1, v, v^-1 are 0..3
+            counts = [codes.count(c) for c in range(4)]
+            assert (counts[0] - counts[1], counts[2] - counts[3]) == word.abelianization()
             mid = params.q * (n + params.mu) + params.delta
             if params.beta >= 0:
                 assert word.abelianization() == (params.lam + n, mid)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracle
 from conftest import oracle_is_primitive, sample_typek_params
 from hkannuli import boundary, classify, freegroup
 from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
@@ -10,8 +11,7 @@ from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
                                classify_typeM, classify_typeS, em_invariants,
                                em_jsj_graph, five_two_report, non_type41_window,
                                typeK_census)
-from hkannuli.freegroup import (cho_koda_criterion, cyclic_reduce, format_word,
-                                is_primitive, root)
+from hkannuli.freegroup import cho_koda_criterion, format_word, is_primitive, root
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
 
@@ -87,16 +87,27 @@ def reference_census(params, span):
 class TestClosedForm:
     def test_window_sound_on_grid(self):
         """Exhaustive on the grid: every n outside the window fires the
-        word-level Cho-Koda criterion, the evidence the census records there."""
-        families = 0
+        word-level Cho-Koda criterion, the evidence the census records there.
+        The window is the closed form of ``oracle.exclusion_window``, and on
+        the flat families (beta in {0, -1}, shifted to lambda - 2, mu + 2 at
+        beta = -1) the census spares exactly ``oracle.flat_inconclusive``."""
+        families = flat = 0
         for params in grid_families():
             window = non_type41_window(params)
             assert len(window) <= 4, params
+            assert window == oracle.exclusion_window(*params._astuple()), params
             for n in range(-12, 13):
                 if n not in window:
                     assert cho_koda_criterion(boundary.boundary_word(params, n)), (params, n)
+            if params.beta in (0, -1):
+                shift = 2 if params.beta == -1 else 0
+                expected = oracle.flat_inconclusive(params.q, params.delta, params.lam - shift,
+                                                    params.mu + shift, 12)
+                assert typeK_census(params, 12).inconclusive == expected, params
+                flat += 1
             families += 1
         assert families == 11172
+        assert flat == 480
 
     def test_inconclusive_witness_is_primitive_root_on_grid(self):
         """Exhaustive on the grid: a window word the criterion spares is the
@@ -114,10 +125,10 @@ class TestClosedForm:
                     continue
                 witness = outcome.witness
                 assert witness == root(word)[0] and is_primitive(witness), (params, n)
-                if cyclic_reduce(witness)[0].length() <= 8:
-                    assert oracle_is_primitive(witness, 8), (params, n)
-                    oracle_checked += 1
-        assert (inconclusive, oracle_checked) == (13040, 12743)
+                # the longest witness core on the grid has 18 letters
+                assert oracle_is_primitive(witness, 18), (params, n)
+                oracle_checked += 1
+        assert (inconclusive, oracle_checked) == (13040, 12947)
 
     def test_census_needs_no_descent(self, monkeypatch):
         def refuse(w):

@@ -5,8 +5,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import (_apply, _elementary_automorphisms, cyclically_reduced_classes,
-                      oracle_is_primitive, word_from_codes, word_strategy)
+import oracle
+from conftest import oracle_is_primitive, word_from_codes, word_strategy
 from hkannuli import freegroup
 from hkannuli.freegroup import (DIGIT_BUDGET, IDENTITY, Word, _conjugacy_key,
                                 are_conjugate, cho_koda_criterion, concat,
@@ -144,9 +144,9 @@ class TestRoot:
 def test_blocks_agree_with_letter_reference():
     # every cyclic class of letter length <= 8: the block key is one value
     # per class, and the root is the minimal letter period of the class
-    classes = cyclically_reduced_classes(8)
+    classes = oracle.cyclic_classes(8)
     keys = set()
-    for codes in classes.values():
+    for codes in classes:
         n = len(codes)
         key = _conjugacy_key(word_from_codes(codes))
         for i in range(1, n):
@@ -172,50 +172,53 @@ class TestPrimitivity:
         assert not is_primitive(IDENTITY)
 
     def test_abelianization_necessary(self):
-        for key, codes in cyclically_reduced_classes(6).items():
+        for codes in oracle.cyclic_classes(6):
             w = word_from_codes(codes)
             if is_primitive(w):
                 assert gcd(*w.abelianization()) == 1, format_word(w)
 
     def test_agrees_with_nielsen_orbit_oracle(self):
-        # exhaustive comparison on every conjugacy class of length <= 8
-        for key, codes in cyclically_reduced_classes(8).items():
+        # exhaustive comparison on every conjugacy class of length <= 10
+        classes = oracle.cyclic_classes(10)
+        for codes in classes:
             w = word_from_codes(codes)
-            assert is_primitive(w) == oracle_is_primitive(w, 8), format_word(w)
+            assert is_primitive(w) == oracle_is_primitive(w, 10), format_word(w)
+        assert len(classes) == 9518
 
     def test_maps_are_the_twelve_without_conjugations(self):
         # each multiplier a contributes x -> x a and x -> a^-1 x; the third
         # reference map, x -> a^-1 x a, is conjugation by a
-        twelve = _elementary_automorphisms()[:12]
-        assert freegroup._whitehead_maps() == tuple(
+        twelve = oracle._elementary_automorphisms()[:12]
+        assert tuple({gen: image.blocks for gen, image in images.items()}
+                     for images in freegroup._whitehead_maps()) == tuple(
             images for i, images in enumerate(twelve) if i % 3 != 2)
 
     def test_descent_matches_twelve_map_reference(self):
         """The descent returns the same word as the greedy first-improving
         descent over the twelve maps that include the conjugations, on
         every class of length <= 8 and on seeded multi-block words."""
-        twelve = _elementary_automorphisms()[:12]
+        twelve = oracle._elementary_automorphisms()[:12]
 
         def reference(w):
-            current, _ = cyclic_reduce(w)
+            current, _ = oracle.cyclic_core(w)
             improved = True
             while improved:
                 improved = False
                 for images in twelve:
-                    candidate, _ = cyclic_reduce(_apply(current, images))
-                    if candidate.length() < current.length():
+                    candidate, _ = oracle.cyclic_core(oracle.substitute(current, images))
+                    if oracle.letter_length(candidate) < oracle.letter_length(current):
                         current, improved = candidate, True
                         break
             return current
 
-        words = [word_from_codes(codes) for codes in cyclically_reduced_classes(8).values()]
+        words = [word_from_codes(codes) for codes in oracle.cyclic_classes(8)]
         rng = random.Random(59)
         for _ in range(400):
             blocks = [("uv"[i % 2], rng.choice((-3, -2, -1, 1, 2, 3)))
                       for i in range(rng.randint(2, 8))]
             words.append(reduce(blocks))
         for w in words:
-            assert whitehead_minimize(w) == reference(w), format_word(w)
+            assert whitehead_minimize(w).blocks == reference(w.blocks), format_word(w)
 
     @given(word_strategy(max_blocks=4, max_exp=2), word_strategy(max_blocks=3, max_exp=2))
     @settings(max_examples=60)
@@ -244,6 +247,14 @@ class TestPowerOfPrimitive:
         with pytest.raises(ValueError):
             is_power_of_primitive(IDENTITY)
 
+    def test_agrees_with_nielsen_orbit_oracle(self):
+        # exhaustive comparison on every conjugacy class of length <= 10:
+        # the oracle tests the minimal letter period against its table
+        for codes in oracle.cyclic_classes(10):
+            w = word_from_codes(codes)
+            assert is_power_of_primitive(w) == oracle.is_power_of_primitive(codes, 10), \
+                format_word(w)
+
 
 class TestChoKoda:
     @pytest.mark.parametrize("text, expected", [
@@ -258,10 +269,11 @@ class TestChoKoda:
 
     def test_sound_on_small_words(self):
         # spot soundness; the exhaustive length-10 sweep lives in acceptance
-        for key, codes in cyclically_reduced_classes(7).items():
+        for codes in oracle.cyclic_classes(7):
             w = word_from_codes(codes)
             if cho_koda_criterion(w):
                 assert not is_power_of_primitive(w), format_word(w)
+                assert not oracle.is_power_of_primitive(codes, 7), format_word(w)
 
 
 class TestTextSyntax:
