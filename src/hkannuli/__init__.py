@@ -7,8 +7,7 @@ of the twisted Moebius-band families, the type 4-1 / type-M / type-S
 classification pipelines, and a rule validator for decomposition graphs.
 """
 
-from .arcs import (PairedUnitSequence, SequenceExtension, alternating, interpolating,
-                   reference_crossings)
+from .arcs import alternating, interpolating, reference_crossings
 from .boundary import (ParamError, TypeKParams, boundary_word, delta_claim_gamma,
                        homology_class, normalize_negative_beta, params_violations,
                        validate_params)

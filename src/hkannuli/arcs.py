@@ -28,10 +28,10 @@ compatible with the two closed forms below and with the first/last-entry
 signs of the beta < 0 sequence, and it is what makes the negative-beta
 normalisation an exact conjugation (see :mod:`hkannuli.boundary`).
 
-Closed-form anchors used to pin the conventions:
+Closed-form anchors, with (A, kappa, zetas) = reference_crossings(rho, beta):
 
-* beta = 0:   interpolate(A-hat, x, y, z) = z^rho
-* beta = -1:  interpolate(A-hat, x, y, z) = x^-1 z^-rho y
+* beta = 0:   interpolating(A, zetas, x, y, z) = z^rho
+* beta = -1:  interpolating(A, zetas, x, y, z) = x^-1 z^-rho y
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from ._record import Record
 from .freegroup import Word, concat
 
 # Largest crossing count 2*|beta| + rho.  The crossings come as O(|beta|)
@@ -51,56 +50,6 @@ CROSSING_BUDGET = 1_000_000
 
 def slope_is_valid(rho: int, beta: int) -> bool:
     return rho >= 0 and gcd(2 * rho, abs(2 * beta + 1)) == 1
-
-
-class PairedUnitSequence(Record):
-    """+-1 sequence of even length 2*tau recording the d-arc crossings."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) % 2:
-            raise ValueError("a paired unit sequence has even length")
-        if not set(self.entries) <= {1, -1}:
-            raise ValueError("entries must be +1 or -1")
-
-
-class SequenceExtension(Record):
-    """Extension of a paired unit sequence by interpolated crossings.
-
-    ``kappa`` (1-based, strictly increasing, of even length) locates the
-    base entries inside ``entries``; the base is read off along it.
-    """
-
-    entries: tuple[int, ...]
-    kappa: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not set(self.entries) <= {1, -1}:
-            raise ValueError("entries must be +1 or -1")
-        if len(self.kappa) % 2:
-            raise ValueError("kappa must have even length")
-        if any(k2 <= k1 for k1, k2 in zip(self.kappa, self.kappa[1:])):
-            raise ValueError("kappa must be strictly increasing")
-        if any(not 1 <= k <= self.sigma for k in self.kappa):
-            raise ValueError("kappa out of range")
-
-    @property
-    def base(self) -> PairedUnitSequence:
-        return PairedUnitSequence(tuple(self.entries[k - 1] for k in self.kappa))
-
-    @property
-    def sigma(self) -> int:
-        return len(self.entries)
-
-    def zetas(self) -> tuple[int, ...]:
-        """Interpolation exponents zeta_0..zeta_{2 tau}: sums of entries
-        strictly between consecutive kappa positions (ends padded)."""
-        bounds = (0,) + self.kappa + (self.sigma + 1,)
-        return tuple(
-            sum(self.entries[lo:hi - 1])
-            for lo, hi in zip(bounds, bounds[1:])
-        )
 
 
 # One (rho, beta) per call: at the crossing budget with a small rho, an
@@ -153,8 +102,8 @@ def crossing_runs(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
 
 def base_layout(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(A, kappa, zetas) read off crossing runs: the signs of the d-crossings,
-    their 1-based positions in A-hat, and the s0' sign sums before, between
-    and after them (see :meth:`SequenceExtension.zetas`)."""
+    their 1-based positions among all crossings (A-hat), and the s0' sign
+    sums before, between and after them: zeta_0..zeta_{2 tau}."""
     base, kappa, zetas = [], [], []
     position = zeta = 0
     for dual, sign, count in runs:
@@ -170,39 +119,23 @@ def base_layout(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]
     return tuple(base), tuple(kappa), tuple(zetas)
 
 
-def _expand(runs, field: int) -> tuple:
-    """One field of each run, repeated count times."""
-    items: list = []
-    for run in runs:
-        items += (run[field],) * run[2]
-    return tuple(items)
+def reference_crossings(rho: int, beta: int) -> tuple[tuple[int, ...], ...]:
+    """(A, kappa, zetas) of the reference arc of slope 2*rho/(2*beta+1);
+    rejects (rho, beta) violating the coprimality invariant."""
+    return base_layout(_crossing_events(rho, beta))
 
 
-def reference_crossings(rho: int, beta: int) -> tuple[PairedUnitSequence, SequenceExtension]:
-    """Crossing data of the reference arc of slope 2*rho/(2*beta+1).
-
-    Returns the paired unit sequence A (the 2*|beta| d-crossings) and its
-    extension A-hat (all 2*|beta| + rho crossings, in order along the arc).
-    Rejects (rho, beta) violating the coprimality invariant.
-    """
-    runs = _crossing_events(rho, beta)
-    base, kappa, _ = base_layout(runs)
-    return PairedUnitSequence(base), SequenceExtension(_expand(runs, 1), kappa)
-
-
-def alternating(seq: PairedUnitSequence, x: Word, y: Word) -> Word:
+def alternating(signs: tuple[int, ...], x: Word, y: Word) -> Word:
     """x^{v_1} y^{v_2} ... x^{v_{2 tau - 1}} y^{v_{2 tau}}, freely reduced."""
-    parts = []
-    for i, exp in enumerate(seq.entries):
-        parts.append((x if i % 2 == 0 else y) ** exp)
-    return concat(*parts)
+    return concat(*[(x if i % 2 == 0 else y) ** exp for i, exp in enumerate(signs)])
 
 
-def interpolating(ext: SequenceExtension, x: Word, y: Word, z: Word) -> Word:
-    """z^{zeta_0} x^{v_1} z^{zeta_1} y^{v_2} ... z^{zeta_{2 tau}}, reduced."""
-    zetas = ext.zetas()
-    parts = [z ** zetas[0]]
-    for i, exp in enumerate(ext.base.entries):
-        parts.append((x if i % 2 == 0 else y) ** exp)
-        parts.append(z ** zetas[i + 1])
+def interpolating(signs: tuple[int, ...], zetas: tuple[int, ...],
+                  x: Word, y: Word, z: Word) -> Word:
+    """z^{zeta_0} x^{v_1} z^{zeta_1} y^{v_2} ... z^{zeta_{2 tau}}, reduced.
+    ``zetas`` has one entry more than ``signs``."""
+    head, *tail = zetas
+    parts = [z ** head]
+    for i, (exp, zeta) in enumerate(zip(signs, tail, strict=True)):
+        parts += [(x if i % 2 == 0 else y) ** exp, z ** zeta]
     return concat(*parts)

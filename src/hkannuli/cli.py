@@ -94,10 +94,10 @@ def _params_json(params: boundary.TypeKParams) -> dict:
 def _cmd_boundary_word(args: argparse.Namespace):
     params = _params_from_args(args)
     word = boundary.boundary_word(params, args.n)
+    text = format_word(word)
     return (_params_json(params) | {"n": args.n},
-            {"word": format_word(word),
-             "abelianization": list(word.abelianization())},
-            [format_word(word)], [])
+            {"word": text, "abelianization": list(word.abelianization())},
+            [text], [])
 
 
 def _census_payload(report: classify.CensusReport) -> dict:
@@ -194,7 +194,10 @@ def _cmd_word(args: argparse.Namespace):
 
 def _cmd_jsj_validate(args: argparse.Namespace):
     with open(args.file, "r", encoding="utf-8") as handle:
-        graph = jsjgraph.parse_graph(handle.read())
+        text = handle.read(jsjgraph.GRAPH_BUDGET + 1)  # /dev/zero too ends here
+    if len(text) > jsjgraph.GRAPH_BUDGET:
+        raise ValueError(f"graph file must be at most {jsjgraph.GRAPH_BUDGET} characters")
+    graph = jsjgraph.parse_graph(text)
     violations = jsjgraph.validate(graph)
     return ({"file": args.file},
             {"violations": [{"rule": v.rule, "lemma": v.lemma, "subject": v.subject}

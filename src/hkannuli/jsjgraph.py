@@ -289,6 +289,10 @@ def graph_m() -> JsjGraph:
 
 # -- text format ---------------------------------------------------------------
 
+# Longest graph file, in characters, that `jsj validate` reads.
+GRAPH_BUDGET = 1_000_000
+
+
 def _member(kind, text: str):
     """``kind(text)``, quoting a bounded excerpt of text that names no member."""
     try:

@@ -1,8 +1,8 @@
 """Shared test helpers: random valid parameter tuples, adapters from the
 letter strings and primitive-orbit table of ``bench/oracle.py`` (which
 imports nothing from hkannuli, so the kernel never vouches for itself) to
-``Word``, the arc walk that builds arc words crossing by crossing, and the
-half-boundary arcs."""
+``Word``, the crossing-by-crossing arc layout, the arc walk that builds arc
+words from it, and the half-boundary arcs."""
 
 from __future__ import annotations
 
@@ -93,6 +93,21 @@ def crossing_duals(rho: int, beta: int) -> tuple[str, ...]:
                  for _ in range(count))
 
 
+def expanded_layout(rho: int, beta: int) -> tuple[tuple[int, ...], ...]:
+    """(A, A-hat, kappa, zetas) of the reference arc, read crossing by
+    crossing: A-hat is every crossing's sign in order, kappa the 1-based
+    positions of the d-crossings in it, A their signs, and each zeta the sum
+    of the A-hat entries strictly between two neighbouring kappa positions
+    (the ends padded)."""
+    crossings = [(dual, sign) for dual, sign, count in arcs.crossing_runs(rho, beta)
+                 for _ in range(count)]
+    a_hat = tuple(sign for _, sign in crossings)
+    kappa = tuple(i for i, (dual, _) in enumerate(crossings, start=1) if dual != "s0p")
+    bounds = (0,) + kappa + (len(a_hat) + 1,)
+    zetas = tuple(sum(a_hat[lo:hi - 1]) for lo, hi in zip(bounds, bounds[1:]))
+    return tuple(a_hat[k - 1] for k in kappa), a_hat, kappa, zetas
+
+
 def arc_word(coord: ArcCoordinate, images: Mapping[str, Word]) -> Word:
     """Word of the arc with the given coordinate:
 
@@ -104,12 +119,12 @@ def arc_word(coord: ArcCoordinate, images: Mapping[str, Word]) -> Word:
     missing = [s for s in ARC_SYMBOLS if s not in images]
     if missing:
         raise ValueError(f"images missing {missing}")
-    _, ext = arcs.reference_crossings(coord.rho, coord.beta)
+    base, _, zetas = arcs.reference_crossings(coord.rho, coord.beta)
     ce, co, vh, s0 = (images[s] for s in ARC_SYMBOLS)
     if coord.beta >= 0:
-        middle = arcs.interpolating(ext, co, ce, vh)
+        middle = arcs.interpolating(base, zetas, co, ce, vh)
     else:
-        middle = arcs.interpolating(ext, ce, co, vh)
+        middle = arcs.interpolating(base, zetas, ce, co, vh)
     return concat(ce ** coord.lam, middle, co ** coord.mu, s0)
 
 

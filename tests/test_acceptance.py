@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 import oracle
-from conftest import sample_typek_params, word_from_codes
+from conftest import expanded_layout, sample_typek_params, word_from_codes
 from hkannuli import arcs, boundary, classify
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import (U, V, cho_koda_criterion, concat, format_word,
@@ -98,18 +98,19 @@ def test_criterion_5_interpolating_anchors():
     started = time.time()
     x, y, z = parse_word("u"), parse_word("v"), parse_word("v u^2")
     for rho in range(0, 51):
-        _, ext0 = arcs.reference_crossings(rho, 0)
-        assert arcs.interpolating(ext0, x, y, z) == z ** rho
-        _, ext1 = arcs.reference_crossings(rho, -1)
-        assert arcs.interpolating(ext1, x, y, z) == concat(x.inverse(), z ** -rho, y)
+        base0, _, zetas0 = arcs.reference_crossings(rho, 0)
+        assert arcs.interpolating(base0, zetas0, x, y, z) == z ** rho
+        base1, _, zetas1 = arcs.reference_crossings(rho, -1)
+        assert arcs.interpolating(base1, zetas1, x, y, z) == concat(x.inverse(), z ** -rho, y)
     for beta in range(-5, 0):
         for rho in range(0, 51):
             if not arcs.slope_is_valid(rho, beta):
                 continue
-            seq, ext = arcs.reference_crossings(rho, beta)
-            assert ext.entries[0] == -1 and ext.entries[-1] == 1
-            assert ext.kappa[0] == 1 and ext.kappa[-1] == ext.sigma
-            assert seq.entries[0] == -1 and seq.entries[-1] == 1
+            base, kappa, _ = arcs.reference_crossings(rho, beta)
+            _, a_hat, _, _ = expanded_layout(rho, beta)
+            assert a_hat[0] == -1 and a_hat[-1] == 1
+            assert kappa[0] == 1 and kappa[-1] == len(a_hat)
+            assert base[0] == -1 and base[-1] == 1
     _report(5, "A-hat_0 = z^rho, A-hat_-1 = x^-1 z^-rho y, and the -1/+1 "
                "first/last entries sit inside A", started)
 

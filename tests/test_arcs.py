@@ -5,11 +5,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import (ARC_SYMBOLS, ArcCoordinate, arc_word, crossing_duals, valid_slopes,
-                      word_strategy)
+from conftest import (ARC_SYMBOLS, ArcCoordinate, arc_word, crossing_duals, expanded_layout,
+                      valid_slopes, word_strategy)
 from hkannuli import arcs
-from hkannuli.arcs import (PairedUnitSequence, SequenceExtension, _crossing_events,
-                           alternating, interpolating, reference_crossings)
+from hkannuli.arcs import (_crossing_events, alternating, base_layout, crossing_runs,
+                           interpolating, reference_crossings)
 from hkannuli.freegroup import IDENTITY, concat, format_word, parse_word
 
 W = parse_word
@@ -53,19 +53,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ArcCoordinate(0, 2, 0, 0)  # slope 0 needs 2*beta+1 = +-1
 
-    def test_sequence_validation(self):
-        PairedUnitSequence((1, -1))
-        with pytest.raises(ValueError):
-            PairedUnitSequence((1,))
-        with pytest.raises(ValueError):
-            PairedUnitSequence((1, 2))
-        assert SequenceExtension((1, 1, -1), (1, 3)).base == PairedUnitSequence((1, -1))
-        for entries, kappa in [((1, 2, -1), (1, 3)),   # not a unit
-                               ((1, 1, -1), (1,)),     # odd kappa
-                               ((1, 1, -1), (3, 1)),   # not increasing
-                               ((1, 1, -1), (1, 4))]:  # out of range
-            with pytest.raises(ValueError):
-                SequenceExtension(entries, kappa)
+    def test_layout_matches_crossing_by_crossing(self):
+        pairs = valid_slopes(100, 20)
+        assert len(pairs) == 3320
+        for rho, beta in pairs:
+            base, _, kappa, zetas = expanded_layout(rho, beta)
+            assert base_layout(crossing_runs(rho, beta)) == (base, kappa, zetas), (rho, beta)
 
 
 class TestReferenceCrossings:
@@ -78,21 +71,24 @@ class TestReferenceCrossings:
 
     def test_beta_zero(self):
         for rho in range(0, 8):
-            seq, ext = reference_crossings(rho, 0)
-            assert seq.entries == ()
-            assert ext.entries == (1,) * rho
-            assert ext.kappa == ()
+            base, kappa, _ = reference_crossings(rho, 0)
+            _, a_hat, _, _ = expanded_layout(rho, 0)
+            assert base == ()
+            assert a_hat == (1,) * rho
+            assert kappa == ()
 
     def test_beta_minus_one(self):
         for rho in range(0, 8):
-            seq, ext = reference_crossings(rho, -1)
-            assert seq.entries == (-1, 1)
-            assert ext.entries == (-1,) + (-1,) * rho + (1,)
-            assert ext.kappa == (1, rho + 2)
+            base, kappa, _ = reference_crossings(rho, -1)
+            _, a_hat, _, _ = expanded_layout(rho, -1)
+            assert base == (-1, 1)
+            assert a_hat == (-1,) + (-1,) * rho + (1,)
+            assert kappa == (1, rho + 2)
 
     def test_zero_slope(self):
-        seq, ext = reference_crossings(0, 0)
-        assert seq.entries == () and ext.entries == ()
+        base, _, _ = reference_crossings(0, 0)
+        _, a_hat, _, _ = expanded_layout(0, 0)
+        assert base == () and a_hat == ()
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -117,9 +113,10 @@ class TestReferenceCrossings:
 
     def test_counts_and_alternation(self):
         for rho, beta in valid_slopes(8, 8):
-            seq, ext = reference_crossings(rho, beta)
-            assert len(seq.entries) == 2 * abs(beta)
-            assert ext.sigma == 2 * abs(beta) + rho
+            base, _, _ = reference_crossings(rho, beta)
+            _, a_hat, _, _ = expanded_layout(rho, beta)
+            assert len(base) == 2 * abs(beta)
+            assert len(a_hat) == 2 * abs(beta) + rho
             # geometric dual assignment alternates and matches the closed form
             d_duals = tuple(d for d in crossing_duals(rho, beta) if d != "s0p")
             assert d_duals == dual_kinds(beta)
@@ -133,49 +130,53 @@ class TestReferenceCrossings:
         for rho, beta in valid_slopes(8, 8):
             if beta >= 0:
                 continue
-            seq, ext = reference_crossings(rho, beta)
-            assert ext.kappa[0] == 1 and ext.kappa[-1] == ext.sigma
-            assert ext.entries[0] == -1 and ext.entries[-1] == 1
-            assert seq.entries[0] == -1 and seq.entries[-1] == 1
+            base, kappa, _ = reference_crossings(rho, beta)
+            _, a_hat, _, _ = expanded_layout(rho, beta)
+            assert kappa[0] == 1 and kappa[-1] == len(a_hat)
+            assert a_hat[0] == -1 and a_hat[-1] == 1
+            assert base[0] == -1 and base[-1] == 1
 
     def test_straight_line_sign_constancy(self):
         # one sign per dual family along a single lift segment
         for rho, beta in valid_slopes(20, 20):
             if beta <= 0:
                 continue
-            seq, _ = reference_crossings(rho, beta)
-            assert len(set(seq.entries)) == 1
+            base, _, _ = reference_crossings(rho, beta)
+            assert len(set(base)) == 1
 
 
 class TestWordFunctions:
     def test_alternating_examples(self):
-        empty = PairedUnitSequence(())
-        assert alternating(empty, W("u"), W("v")) == IDENTITY
-        ones = PairedUnitSequence((1, 1))
-        assert alternating(ones, W("u"), W("v")) == W("u v")
-        mixed = PairedUnitSequence((1, -1, -1, 1))
-        assert alternating(mixed, W("v^2"), W("u")) == W("v^2 U v^-2 u")
+        assert alternating((), W("u"), W("v")) == IDENTITY
+        assert alternating((1, 1), W("u"), W("v")) == W("u v")
+        assert alternating((1, -1, -1, 1), W("v^2"), W("u")) == W("v^2 U v^-2 u")
 
     @given(word_strategy(max_blocks=3, max_exp=2), word_strategy(max_blocks=3, max_exp=2))
     @settings(max_examples=40)
     def test_substitution_identity(self, x, y):
         for rho, beta in valid_slopes(4, 3):
-            seq, ext = reference_crossings(rho, beta)
-            assert interpolating(ext, x, y, IDENTITY) == alternating(seq, x, y)
+            base, _, zetas = reference_crossings(rho, beta)
+            assert interpolating(base, zetas, x, y, IDENTITY) == alternating(base, x, y)
 
     def test_interpolating_anchors(self):
         x, y, z = W("u"), W("v"), W("u v^-1")
         for rho in range(0, 51):
-            _, ext0 = reference_crossings(rho, 0)
-            assert interpolating(ext0, x, y, z) == z ** rho
-            _, ext1 = reference_crossings(rho, -1)
-            assert interpolating(ext1, x, y, z) == concat(x.inverse(), z ** -rho, y)
+            base0, _, zetas0 = reference_crossings(rho, 0)
+            assert interpolating(base0, zetas0, x, y, z) == z ** rho
+            base1, _, zetas1 = reference_crossings(rho, -1)
+            assert interpolating(base1, zetas1, x, y, z) == concat(x.inverse(), z ** -rho, y)
+
+    def test_interpolating_needs_one_zeta_more_than_signs(self):
+        x, y, z = W("u"), W("v"), W("u v^-1")
+        for zetas in [(), (0, 1), (0, 1, 0, 2)]:
+            with pytest.raises(ValueError):
+                interpolating((1, -1), zetas, x, y, z)
 
     def test_zetas(self):
-        _, ext = reference_crossings(1, -2)
-        assert ext.entries == (-1, 1, -1, 1, 1)
-        assert ext.kappa == (1, 2, 4, 5)
-        assert ext.zetas() == (0, 0, -1, 0, 0)
+        _, kappa, zetas = reference_crossings(1, -2)
+        assert expanded_layout(1, -2)[1] == (-1, 1, -1, 1, 1)
+        assert kappa == (1, 2, 4, 5)
+        assert zetas == (0, 0, -1, 0, 0)
 
 
 class TestArcWord:

@@ -21,13 +21,13 @@ FIVE_TWO = TypeKParams(p=2, q=1, delta=0, rho=0, beta=0, lam=1, mu=0)
 def arc_walked_pair(q, rho, beta):
     """Reference: alternate v^q and u along the d-crossings of the reference
     arc, with the arguments swapped for beta < 0."""
-    seq, _ = arcs.reference_crossings(rho, beta)
+    base, _, _ = arcs.reference_crossings(rho, beta)
     vq = V ** q
     if beta >= 0:
-        return (arcs.alternating(seq, vq, U),
-                arcs.alternating(seq, U.inverse(), vq.inverse()))
-    return (arcs.alternating(seq, U, vq),
-            arcs.alternating(seq, vq.inverse(), U.inverse()))
+        return (arcs.alternating(base, vq, U),
+                arcs.alternating(base, U.inverse(), vq.inverse()))
+    return (arcs.alternating(base, U, vq),
+            arcs.alternating(base, vq.inverse(), U.inverse()))
 
 
 def arc_walked_k_plus(params, lam_plus, mu_plus):
@@ -41,12 +41,12 @@ def arc_walked_k_plus(params, lam_plus, mu_plus):
 def arc_walked_k_minus(params, lam_minus, mu_minus):
     """Reference: s0 * Co_hat^mu_minus * Ahat_beta(Ce^-1, Co_hat^-1, v_hat^-1)
     * Ce^lam_minus with connector image v^delta, arguments swapped for beta < 0."""
-    _, ext = arcs.reference_crossings(params.rho, params.beta)
+    base, _, zetas = arcs.reference_crossings(params.rho, params.beta)
     ce, co = U, V ** params.q
     if params.beta >= 0:
-        middle = arcs.interpolating(ext, ce.inverse(), co.inverse(), IDENTITY)
+        middle = arcs.interpolating(base, zetas, ce.inverse(), co.inverse(), IDENTITY)
     else:
-        middle = arcs.interpolating(ext, co.inverse(), ce.inverse(), IDENTITY)
+        middle = arcs.interpolating(base, zetas, co.inverse(), ce.inverse(), IDENTITY)
     return concat(V ** params.delta, co ** mu_minus, middle, ce ** lam_minus)
 
 

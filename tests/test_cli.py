@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hkannuli import arcs, boundary, classify, cli
+from hkannuli import arcs, boundary, classify, cli, jsjgraph
 from hkannuli.cli import run
 from hkannuli.freegroup import DIGIT_BUDGET, format_word, parse_word
 
@@ -505,6 +505,32 @@ def test_jsj_validate(tmp_path, capsys):
     payload = json.loads(out)
     rules = {v["rule"] for v in payload["result"]["violations"]}
     assert "loop-edge-law" in rules
+
+
+def test_graph_budget(tmp_path, capsys):
+    head = "node x simple\n"
+    path = tmp_path / "padded.graph"
+    path.write_text(head + "#" * (jsjgraph.GRAPH_BUDGET - len(head)))
+    assert invoke(capsys, "jsj", "validate", str(path)) == (0, "no violations\n", "")
+    path.write_text(head + "#" * (jsjgraph.GRAPH_BUDGET - len(head) + 1))
+    assert invoke(capsys, "jsj", "validate", str(path)) == (
+        1, "", f"error: graph file must be at most {jsjgraph.GRAPH_BUDGET} characters\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_graph_budget_ends_an_endless_file():
+    import resource
+
+    def cap_memory():  # an unbounded read fails here instead of filling the machine
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hkannuli", "jsj", "validate", "/dev/zero"],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: graph file must be at most {jsjgraph.GRAPH_BUDGET} characters\n")
 
 
 def test_usage_error_exit_code(capsys):

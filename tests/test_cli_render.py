@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from conftest import crossing_duals, sample_typek_params, valid_slopes
-from hkannuli import arcs, classify, cli
+from conftest import crossing_duals, expanded_layout, sample_typek_params, valid_slopes
+from hkannuli import classify, cli
 from hkannuli.cli import run
 
 
@@ -43,19 +43,16 @@ def reference_census_payload(report: classify.CensusReport) -> dict:
 
 
 def reference_arcs(rho: int, beta: int, as_json: bool) -> str:
-    """`arcs crossings` from the expanded tuples: one object per crossing."""
-    seq, ext = arcs.reference_crossings(rho, beta)
+    """`arcs crossings` from the layout read crossing by crossing: one
+    object per crossing."""
+    base, a_hat, kappa, zetas = (list(field) for field in expanded_layout(rho, beta))
     duals = crossing_duals(rho, beta)
-    kappa = [i + 1 for i, dual in enumerate(duals) if dual != "s0p"]
-    assert tuple(kappa) == ext.kappa
-    zetas = list(ext.zetas())
     if as_json:
         return dumps({"command": "arcs crossings", "inputs": {"rho": rho, "beta": beta},
-                      "result": {"A": list(seq.entries), "A_hat": list(ext.entries),
-                                 "kappa": kappa, "zeta": zetas, "duals": list(duals),
-                                 "sigma": ext.sigma},
+                      "result": {"A": base, "A_hat": a_hat, "kappa": kappa, "zeta": zetas,
+                                 "duals": list(duals), "sigma": len(a_hat)},
                       "warnings": []})
-    return (f"A      = {list(seq.entries)}\nA-hat  = {list(ext.entries)}\n"
+    return (f"A      = {base}\nA-hat  = {a_hat}\n"
             f"kappa  = {kappa}\nzeta   = {zetas}\n")
 
 

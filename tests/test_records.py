@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 from conftest import ArcCoordinate
-from hkannuli.arcs import PairedUnitSequence, SequenceExtension
 from hkannuli.boundary import TypeKParams
 from hkannuli.classify import (CHO_KODA, AnnulusType, CensusEntry, CensusReport,
                                ClassificationOutcome, EmParams, Verdict)
@@ -25,8 +24,6 @@ FIVE_TWO = TypeKParams(**FIVE_TWO_FIELDS)
 RECORDS = {
     Word: ({"blocks": (("u", 2), ("v", -1))}, {"blocks": (("u", 1),)}),
     ArcCoordinate: ({"rho": 1, "beta": 0, "lam": 0, "mu": 1}, {"mu": 0}),
-    PairedUnitSequence: ({"entries": (1, -1)}, {"entries": (-1, -1)}),
-    SequenceExtension: ({"entries": (1, -1, 1), "kappa": (1, 3)}, {"kappa": (2, 3)}),
     TypeKParams: (FIVE_TWO_FIELDS, {"beta": 1}),
     ClassificationOutcome: ({"verdict": Verdict.TYPE_4_1, "criterion": "cho-koda",
                              "witness": None}, {"criterion": "tangle"}),
