@@ -7,10 +7,8 @@ of the twisted Moebius-band families, the type 4-1 / type-M / type-S
 classification pipelines, and a rule validator for decomposition graphs.
 """
 
-from .arcs import alternating, interpolating, reference_crossings
-from .boundary import (ParamError, TypeKParams, boundary_word, delta_claim_gamma,
-                       homology_class, normalize_negative_beta, params_violations,
-                       validate_params)
+from .boundary import (ParamError, TypeKParams, boundary_word, normalize_negative_beta,
+                       params_violations, validate_params)
 from .classify import (AnnulusType, CensusReport, ClassificationOutcome, EmGraph,
                        EmParams, ExternalFactError, Verdict, classify_typeK_annulus,
                        classify_typeM, classify_typeS, em_invariants, em_jsj_graph,
@@ -18,9 +16,8 @@ from .classify import (AnnulusType, CensusReport, ClassificationOutcome, EmGraph
 from .freegroup import (Word, are_conjugate, cho_koda_criterion, concat, cyclic_reduce,
                         format_word, is_power_of_primitive, is_primitive,
                         parse_word, reduce, root)
-from .jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation, graph_k,
-                       graph_m, parse_graph, slope_rules, trivial_graph, validate,
-                       validate_labels, validate_slopes, validate_structure)
+from .jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation, parse_graph,
+                       validate, validate_labels, validate_slopes, validate_structure)
 from .tangle import (ExtendedRational, RationalTangle, cf_eval, is_integral,
                      meridian_count)
 

@@ -96,7 +96,8 @@ def _crossing_events(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
 def crossing_runs(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
     """The crossings of the reference arc of slope 2*rho/(2*beta+1), in
     order, as maximal runs (dual, sign, count): O(|beta|) runs for the
-    2*|beta| + rho crossings.  Rejects what :func:`reference_crossings` does."""
+    2*|beta| + rho crossings.  Rejects a negative rho, a slope that breaks
+    the coprimality invariant, and more than CROSSING_BUDGET crossings."""
     return _crossing_events(rho, beta)
 
 

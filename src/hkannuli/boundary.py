@@ -67,7 +67,8 @@ def params_violations(p: int, q: int, delta: int, rho: int, beta: int,
     homology of the n = -lambda band forces |mu - lambda| <= 1 when
     beta = 0 and |mu - lambda + 4| <= 1 when beta = -1; parameter tuples
     outside those bands are not realised by any type-K handlebody-knot,
-    and the finite exclusion windows below rely on them.
+    and the finite exclusion windows below rely on them.  The tests hold
+    the derivation as ``homology_class`` and ``delta_claim_gamma``.
     """
     violations = []
     if p in (0, 1, -1):
@@ -147,27 +148,3 @@ def normalize_negative_beta(params: TypeKParams) -> tuple[TypeKParams, Word]:
                              -params.beta - 1, params.lam - 2, params.mu + 2)
     return normalized, U.inverse()
 
-
-def homology_class(params: TypeKParams) -> tuple[int, int]:
-    """Class of the n = -lambda band boundary on the solid-torus boundary,
-    as (Theta, L) with L = q*Delta + delta, Delta = mu - lambda.
-
-    Only derived for beta = 0 (route beta < 0 through
-    :func:`normalize_negative_beta` first).  Theta = p*Delta + (p*delta+1)/q
-    is integral by the connector congruence, and q*Theta - p*L = 1.
-    """
-    if params.beta != 0:
-        raise ValueError("homology_class is defined in the beta = 0 context")
-    delta_twist = params.mu - params.lam
-    numerator = params.p * params.delta + 1
-    if numerator % params.q != 0:
-        raise ArithmeticError("connector congruence violated; params invalid")
-    theta = params.p * delta_twist + numerator // params.q
-    ell = params.q * delta_twist + params.delta
-    return theta, ell
-
-
-def delta_claim_gamma(p: int, q: int, delta: int, delta_twist: int) -> int:
-    """Gamma = p*(q*Delta + delta) + 1, the quantity that must avoid +-2q
-    for |Delta| >= 2; its avoidance forces |mu - lambda| <= 1."""
-    return p * (q * delta_twist + delta) + 1

@@ -26,7 +26,6 @@ cyclic-cokernel orders (|l|, |2lmp - lp - lm - 2p + 1|).
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 
 from . import boundary
 from ._record import Record
@@ -243,7 +242,7 @@ class CensusReport(Record):
     """A census of the n with |n| <= span.  Only the inconclusive n, the
     window n inside the span that Cho-Koda spares, are stored; every other
     n is certified by Cho-Koda.  No witness is stored: reading
-    ``window_entries``, ``entries`` or ``outcomes`` builds them."""
+    ``window_entries`` or ``entries`` builds them."""
 
     params: TypeKParams
     span: int
@@ -251,15 +250,12 @@ class CensusReport(Record):
     inconclusive: tuple[int, ...]
     nonseparating_type: AnnulusType
 
-    def outcomes(self) -> Iterator[tuple[int, ClassificationOutcome]]:
-        """``(n, outcome)`` for every n in turn, without keeping them."""
-        window = {e.n: e.outcome for e in self.window_entries}
-        return ((n, window.get(n, CHO_KODA)) for n in range(-self.span, self.span + 1))
-
     @property
     def entries(self) -> tuple[CensusEntry, ...]:
         """One entry per n, built on every read: O(span)."""
-        return tuple([CensusEntry(n, outcome) for n, outcome in self.outcomes()])
+        window = {e.n: e.outcome for e in self.window_entries}
+        return tuple([CensusEntry(n, window.get(n, CHO_KODA))
+                      for n in range(-self.span, self.span + 1)])
 
     @property
     def window_entries(self) -> tuple[CensusEntry, ...]:

@@ -5,13 +5,9 @@ simple); edges are the annuli between them, optionally labeled with an
 annulus type and a slope pair.  The validator applies one rule per law,
 each independently named, and reports violations instead of raising.
 
-Shapes that exist only as drawings are never hard-coded: the named
-constructors (:func:`trivial_graph`, :func:`graph_k`, :func:`graph_m`)
-carry only text-derivable structure (a punctured Klein bottle has one
-boundary circle, a punctured Moebius band two, so the I-bundle frontier
-contributes that many loop annuli), and the shape-membership rules for
-labels are necessary conditions computable from edge multiplicities, loop
-presence and node kinds, documented on each rule.
+Shapes that exist only as drawings are never hard-coded: the
+shape-membership rules for labels are necessary conditions computable from
+edge multiplicities, loop presence and node kinds, documented on each rule.
 """
 
 from __future__ import annotations
@@ -129,6 +125,7 @@ class JsjGraph(Record):
 _LAWS = {
     "well-formed-graph": "edges must reference declared nodes",
     "central-piece-law": "exactly one I-fibered or simple node, and every edge is adjacent to it",
+    "connected-graph-law": "every node is joined to the central node",
     "seifert-frontier-law": "a Seifert fibered node meets at most three annuli",
     "three-annulus-law": "a decomposition graph carries at most three annuli",
     "twoone-shape-law": "a type 2-1 annulus occurs only as the unique, non-loop edge of its graph",
@@ -150,6 +147,21 @@ class Violation(Record):
     @property
     def lemma(self) -> str:
         return _LAWS[self.rule]
+
+
+def _reached_from(start: str, edges) -> set[str]:
+    """The nodes joined to ``start`` by a path of edges."""
+    neighbours: dict[str, list[str]] = {}
+    for edge in edges:
+        neighbours.setdefault(edge.a, []).append(edge.b)
+        neighbours.setdefault(edge.b, []).append(edge.a)
+    reached, frontier = {start}, [start]
+    while frontier:
+        for nid in neighbours.get(frontier.pop(), ()):
+            if nid not in reached:
+                reached.add(nid)
+                frontier.append(nid)
+    return reached
 
 
 def validate_structure(graph: JsjGraph) -> list[Violation]:
@@ -174,6 +186,9 @@ def validate_structure(graph: JsjGraph) -> list[Violation]:
         for edge in graph.edges:
             if hub not in (edge.a, edge.b):
                 violations.append(Violation("central-piece-law", f"edge {edge.id}"))
+        reached = _reached_from(hub, graph.edges)
+        violations += [Violation("connected-graph-law", f"node {nid}")
+                       for nid, _ in graph.nodes if nid not in reached]
 
     degree = Counter(end for edge in graph.edges for end in (edge.a, edge.b))  # a loop twice
     for nid, kind in graph.nodes:
@@ -210,28 +225,19 @@ def validate_labels(graph: JsjGraph) -> list[Violation]:
     return violations
 
 
-def slope_rules(label: AnnulusType, slope: SlopePair,
-                coexisting_type22: bool = False) -> list[Violation]:
-    """Per-edge slope constraints for the two type 3-3 labels."""
-    if label not in (AnnulusType.T3_3i, AnnulusType.T3_3ii):
-        raise ValueError("slope rules apply to type 3-3 labels only")
-    violations = []
-    if label is AnnulusType.T3_3ii and not slope.is_trivial:
-        violations.append(Violation("trivial-slope-law", str(slope)))
-    if label is AnnulusType.T3_3i and slope.is_trivial and coexisting_type22:
-        violations.append(Violation("twotwo-coexistence-law", str(slope)))
-    return violations
-
-
 def validate_slopes(graph: JsjGraph) -> list[Violation]:
-    """Graph-level slope checks: per-edge rules plus bigon slope matching."""
+    """Per-edge slope rules for the two type 3-3 labels, plus bigon slope
+    matching."""
     violations = []
     has_type22 = any(e.label is AnnulusType.T2_2 for e in graph.edges)
     for edge in graph.edges:
-        if edge.slope is None or edge.label not in (AnnulusType.T3_3i, AnnulusType.T3_3ii):
+        if edge.slope is None:
             continue
-        violations += [Violation(v.rule, f"edge {edge.id}: {v.subject}")
-                       for v in slope_rules(edge.label, edge.slope, has_type22)]
+        subject = f"edge {edge.id}: {edge.slope}"
+        if edge.label is AnnulusType.T3_3ii and not edge.slope.is_trivial:
+            violations.append(Violation("trivial-slope-law", subject))
+        elif edge.label is AnnulusType.T3_3i and edge.slope.is_trivial and has_type22:
+            violations.append(Violation("twotwo-coexistence-law", subject))
     for group in graph.bigon_groups():
         sloped = [e for e in group if e.slope is not None
                   and e.label is AnnulusType.T3_3i]
@@ -263,28 +269,6 @@ def realizability_warnings(graph: JsjGraph) -> list[str]:
     if len(graph.edges) > sum(len(g) for g in groups):
         return ["bigon-plus-edge shape: admissible, realizability unknown"]
     return ["bigon label combinations: not all are known to occur"]
-
-
-# -- named graphs -------------------------------------------------------------
-
-
-def trivial_graph() -> JsjGraph:
-    """Single simple piece, no annuli: the totally-geodesic-boundary case."""
-    return JsjGraph(nodes=(("x", NodeKind.SIMPLE),), edges=())
-
-
-def graph_k() -> JsjGraph:
-    """Central I-fibered piece over a once-punctured Klein bottle: one
-    boundary circle, hence one loop annulus."""
-    return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
-                    edges=(Edge("a", "x", "x"),))
-
-
-def graph_m() -> JsjGraph:
-    """Central I-fibered piece over a once-punctured Moebius band: two
-    boundary circles, hence two loop annuli."""
-    return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
-                    edges=(Edge("a", "x", "x"), Edge("b", "x", "x")))
 
 
 # -- text format ---------------------------------------------------------------

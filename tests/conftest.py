@@ -2,7 +2,8 @@
 letter strings and primitive-orbit table of ``bench/oracle.py`` (which
 imports nothing from hkannuli, so the kernel never vouches for itself) to
 ``Word``, the crossing-by-crossing arc layout, the arc walk that builds arc
-words from it, and the half-boundary arcs."""
+words from it, the half-boundary arcs, the homology derivation behind the
+parameter bands, and the named decomposition graphs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import oracle
 from hkannuli import arcs, boundary
 from hkannuli._record import Record
 from hkannuli.freegroup import U, V, Word, concat, reduce as word_reduce
+from hkannuli.jsjgraph import Edge, JsjGraph, NodeKind
 
 
 def word_strategy(max_blocks: int = 6, max_exp: int = 3):
@@ -154,3 +156,59 @@ def k_minus_word(params: boundary.TypeKParams, lam_minus: int, mu_minus: int) ->
     alternating pair."""
     _, back = boundary._alternating_pair(params.q, params.beta)
     return concat(V ** (params.delta + params.q * mu_minus), back, U ** lam_minus)
+
+
+# -- the homology derivation ----------------------------------------------------
+# boundary.params_violations' homology-claim bands: |mu - lambda| <= 1 at
+# beta = 0 (and, through normalize_negative_beta, |mu - lambda + 4| <= 1 at
+# beta = -1).
+
+
+def homology_class(params: boundary.TypeKParams) -> tuple[int, int]:
+    """Class of the n = -lambda band boundary on the solid-torus boundary,
+    as (Theta, L) with L = q*Delta + delta, Delta = mu - lambda.
+
+    Only derived for beta = 0 (route beta < 0 through
+    ``normalize_negative_beta`` first).  Theta = p*Delta + (p*delta+1)/q
+    is integral by the connector congruence, and q*Theta - p*L = 1.
+    """
+    if params.beta != 0:
+        raise ValueError("homology_class is defined in the beta = 0 context")
+    delta_twist = params.mu - params.lam
+    numerator = params.p * params.delta + 1
+    if numerator % params.q != 0:
+        raise ArithmeticError("connector congruence violated; params invalid")
+    theta = params.p * delta_twist + numerator // params.q
+    ell = params.q * delta_twist + params.delta
+    return theta, ell
+
+
+def delta_claim_gamma(p: int, q: int, delta: int, delta_twist: int) -> int:
+    """Gamma = p*(q*Delta + delta) + 1, the quantity that must avoid +-2q
+    for |Delta| >= 2; its avoidance forces |mu - lambda| <= 1."""
+    return p * (q * delta_twist + delta) + 1
+
+
+# -- named decomposition graphs -------------------------------------------------
+# They carry only text-derivable structure: a punctured Klein bottle has one
+# boundary circle and a punctured Moebius band two, so the I-bundle frontier
+# contributes that many loop annuli.
+
+
+def trivial_graph() -> JsjGraph:
+    """Single simple piece, no annuli: the totally-geodesic-boundary case."""
+    return JsjGraph(nodes=(("x", NodeKind.SIMPLE),), edges=())
+
+
+def graph_k() -> JsjGraph:
+    """Central I-fibered piece over a once-punctured Klein bottle: one
+    boundary circle, hence one loop annulus."""
+    return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
+                    edges=(Edge("a", "x", "x"),))
+
+
+def graph_m() -> JsjGraph:
+    """Central I-fibered piece over a once-punctured Moebius band: two
+    boundary circles, hence two loop annuli."""
+    return JsjGraph(nodes=(("x", NodeKind.IFIBERED),),
+                    edges=(Edge("a", "x", "x"), Edge("b", "x", "x")))

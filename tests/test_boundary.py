@@ -4,11 +4,10 @@ import random
 import pytest
 
 import oracle
-from conftest import (ArcCoordinate, arc_word, k_minus_word, k_plus_word,
-                      sample_typek_params, valid_slopes)
+from conftest import (ArcCoordinate, arc_word, delta_claim_gamma, homology_class,
+                      k_minus_word, k_plus_word, sample_typek_params, valid_slopes)
 from hkannuli import arcs, boundary
 from hkannuli.boundary import (ParamError, TypeKParams, boundary_word,
-                               delta_claim_gamma, homology_class,
                                normalize_negative_beta, params_violations,
                                validate_params)
 from hkannuli.freegroup import (IDENTITY, U, V, are_conjugate, concat,

@@ -1,4 +1,5 @@
 import contextlib
+import doctest
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import workloads
 from hkannuli import arcs, boundary, classify, cli, jsjgraph
 from hkannuli.cli import run
 from hkannuli.freegroup import DIGIT_BUDGET, format_word, parse_word
@@ -539,8 +541,32 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+def readme_blocks() -> list:
+    """(language, body) of each fenced block in the README."""
+    return re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_library_tour():
+    tour = next(body for lang, body in readme_blocks() if lang == "python")
+    test = doctest.DocTestParser().get_doctest(tour, {}, "README library tour", str(README), 0)
+    result = doctest.DocTestRunner().run(test)
+    assert (result.failed, result.attempted) == (0, 9)
+
+
+def test_cli_pool_digests(tmp_path, monkeypatch):
+    """The benchmark's cli pool, run in-process, prints the bytes recorded
+    in bench/cli_digests.json, with the expected exit codes and answers."""
+    monkeypatch.chdir(tmp_path)
+    pool = workloads.cli_pool()
+    workloads.write_graph_files(pool)
+    digests = workloads.load_digests()
+    failed = [inv.argv for inv in pool
+              if not workloads.check_output(inv, *workloads.run_in_process(inv.argv), digests)]
+    assert (len(pool), failed) == (108, [])
+
+
 def test_readme_commands_golden(tmp_path, monkeypatch, capsys):
-    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+    blocks = readme_blocks()
     commands = [line for lang, body in blocks if lang == "sh"
                 for line in body.splitlines() if line.startswith("hkannuli ")]
     graph = next(body for lang, body in blocks if lang == "" and "\nnode " in body)

@@ -31,8 +31,8 @@ def reference_census_payload(report: classify.CensusReport) -> dict:
         "params": {"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
                    "beta": params.beta, "lambda": params.lam, "mu": params.mu},
         "window": list(report.window),
-        "per_n": [{"n": n, "verdict": outcome.verdict.value, "evidence": outcome.evidence}
-                  for n, outcome in report.outcomes()],
+        "per_n": [{"n": e.n, "verdict": e.outcome.verdict.value, "evidence": e.outcome.evidence}
+                  for e in report.entries],
         "totals": {
             "certified": report.certified_count,
             "inconclusive_separating": len(report.inconclusive),

@@ -5,13 +5,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import graph_k, graph_m, trivial_graph
 from hkannuli.classify import AnnulusType
 from hkannuli.freegroup import DIGIT_BUDGET
 from hkannuli.jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation,
-                               graph_k, graph_m, parse_graph, realizability_warnings,
-                               slope_rules, trivial_graph, validate,
-                               validate_labels, validate_slopes,
-                               validate_structure)
+                               parse_graph, realizability_warnings, validate,
+                               validate_labels, validate_slopes, validate_structure)
 
 
 GRAPH_IDS = st.sampled_from(["x", "y", "a", "b"])
@@ -34,6 +33,18 @@ def hub_graph(*edges: Edge, extra_nodes=()) -> JsjGraph:
 
 def rules_of(violations):
     return {v.rule for v in violations}
+
+
+def joined_to(start, edges):
+    """The nodes a path of edges joins to ``start``, by growing the set
+    until no edge leaves it."""
+    joined = {start}
+    while True:
+        grown = joined | {end for edge in edges if joined & {edge.a, edge.b}
+                          for end in (edge.a, edge.b)}
+        if grown == joined:
+            return joined
+        joined = grown
 
 
 class TestSlopePair:
@@ -134,14 +145,43 @@ class TestStructure:
         assert rules_of(validate_structure(graph)) == {"well-formed-graph"}
 
     def test_removing_edges_is_monotone(self):
-        # dropping any edge never introduces a new structural violation
+        # dropping an edge that leaves the graph connected never introduces
+        # a new structural violation
         base_edges = [Edge("a", "x", "x"), Edge("b", "x", "s"), Edge("c", "x", "s"),
                       Edge("d", "x", "t")]
         graph = hub_graph(*base_edges, extra_nodes=("s", "t"))
         before = rules_of(validate_structure(graph))
         for keep in itertools.combinations(base_edges, 3):
+            if joined_to("x", keep) != {"x", "s", "t"}:
+                continue
             after = rules_of(validate_structure(hub_graph(*keep, extra_nodes=("s", "t"))))
             assert after <= before
+
+    def test_connected_to_the_central_node(self):
+        """Every graph with one central node, at most three Seifert nodes
+        and at most three edges, loops included: each node no path joins to
+        the central node is reported, in node order."""
+        checked = 0
+        for central in (NodeKind.IFIBERED, NodeKind.SIMPLE):
+            for seiferts in range(4):
+                ids = ["x"] + [f"s{i}" for i in range(seiferts)]
+                nodes = (("x", central),) + tuple((nid, NodeKind.SEIFERT) for nid in ids[1:])
+                pairs = list(itertools.combinations_with_replacement(ids, 2))
+                for count in range(4):
+                    for chosen in itertools.combinations_with_replacement(pairs, count):
+                        edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(chosen))
+                        joined = joined_to("x", edges)
+                        subjects = [v.subject for v in validate_structure(JsjGraph(nodes, edges))
+                                    if v.rule == "connected-graph-law"]
+                        assert subjects == [f"node {nid}" for nid in ids if nid not in joined]
+                        checked += 1
+        assert checked == 2 * (4 + 20 + 84 + 286)
+
+    def test_connected_law_text(self):
+        graph = hub_graph(Edge("a", "x", "s"), extra_nodes=("s", "t"))
+        violations = validate(graph)
+        assert violations == [Violation("connected-graph-law", "node t")]
+        assert violations[0].lemma == "every node is joined to the central node"
 
 
 class TestLabels:
@@ -183,21 +223,22 @@ class TestLabels:
         assert validate_labels(graph) == []
 
 
+def one_sloped_edge(label, slope, *others):
+    return hub_graph(Edge("a", "x", "s", label=label, slope=slope), *others,
+                     extra_nodes=("s",))
+
+
 class TestSlopeRules:
     def test_threethree_ii_requires_trivial_slope(self):
-        assert slope_rules(AnnulusType.T3_3ii, SlopePair.prod(0, 1)) == []
-        violations = slope_rules(AnnulusType.T3_3ii, SlopePair.prod(3, 2))
+        assert validate_slopes(one_sloped_edge(AnnulusType.T3_3ii, SlopePair.prod(0, 1))) == []
+        violations = validate_slopes(one_sloped_edge(AnnulusType.T3_3ii, SlopePair.prod(3, 2)))
         assert rules_of(violations) == {"trivial-slope-law"}
 
     def test_trivial_slope_with_twotwo_forces_ii(self):
-        violations = slope_rules(AnnulusType.T3_3i, SlopePair.prod(0, 1),
-                                 coexisting_type22=True)
+        violations = validate_slopes(one_sloped_edge(
+            AnnulusType.T3_3i, SlopePair.prod(0, 1), Edge("b", "x", "x", label=AnnulusType.T2_2)))
         assert rules_of(violations) == {"twotwo-coexistence-law"}
-        assert slope_rules(AnnulusType.T3_3i, SlopePair.prod(0, 1)) == []
-
-    def test_label_precondition(self):
-        with pytest.raises(ValueError):
-            slope_rules(AnnulusType.T2_1, SlopePair.prod(0, 1))
+        assert validate_slopes(one_sloped_edge(AnnulusType.T3_3i, SlopePair.prod(0, 1))) == []
 
     def test_bigon_slopes_must_match(self):
         def bigon(s1, s2):
