@@ -7,12 +7,14 @@ of the twisted Moebius-band families, the type 4-1 / type-M / type-S
 classification pipelines, and a rule validator for decomposition graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boundary import (ParamError, TypeKParams, boundary_word, normalize_negative_beta,
                        params_violations, validate_params)
 from .classify import (AnnulusType, CensusReport, ClassificationOutcome, EmGraph,
                        EmParams, ExternalFactError, Verdict, classify_typeK_annulus,
                        classify_typeM, classify_typeS, em_invariants, em_jsj_graph,
-                       five_two_report, non_type41_window, typeK_census)
+                       non_type41_window, typeK_census)
 from .freegroup import (Word, are_conjugate, cho_koda_criterion, concat, cyclic_reduce,
                         format_word, is_power_of_primitive, is_primitive,
                         parse_word, reduce, root)
@@ -21,5 +23,6 @@ from .jsjgraph import (Edge, JsjGraph, NodeKind, SlopePair, Violation, parse_gra
 from .tangle import (ExtendedRational, RationalTangle, cf_eval, is_integral,
                      meridian_count)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

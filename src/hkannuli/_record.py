@@ -5,9 +5,9 @@ body, in order; a value assigned to one in the body is that field's
 default.  Each field is a slot.  Records are built positionally or by
 keyword, run ``__post_init__`` on every construction, refuse to set or
 delete attributes, compare equal only to a record of the same class with
-equal fields, hash as the tuple of their fields and print as
-``Name(field=value, ...)``.  A class may write its own ``__init__``, which
-must call ``__post_init__``.
+an equal ``_key()`` (the tuple of the fields unless the class overrides
+it), hash as that key and print as ``Name(field=value, ...)``.  A class
+may write its own ``__init__``, which must call ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -68,13 +68,15 @@ class Record(metaclass=_RecordType):
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    _key = _astuple
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -53,17 +53,19 @@ def slope_is_valid(rho: int, beta: int) -> bool:
 
 
 # One (rho, beta) per call: at the crossing budget with a small rho, an
-# entry holds a million runs.
+# entry holds a million runs, which `arcs crossings` reads twice.
 @lru_cache(maxsize=1)
-def _crossing_events(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
-    """Ordered maximal runs (dual, sign, count) of the reference-arc lift's
-    crossings.
+def crossing_runs(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
+    """The crossings of the reference arc of slope 2*rho/(2*beta+1), in
+    order, as maximal runs (dual, sign, count).
 
     Duals are "d_o"/"d_e" for integer-column crossings (odd/even column)
     and "s0p" for odd-row crossings.  A column run is one crossing and the
-    rows between two columns are one run, so there are at most 4*|beta| + 1
-    runs whatever rho.  Exactly (2*rho*k + d) // (2*d) odd rows lie below
-    column k; the rows left over up to rho follow the last column.
+    rows between two columns are one run, so the 2*|beta| + rho crossings
+    come as at most 4*|beta| + 1 runs.  Exactly (2*rho*k + d) // (2*d) odd
+    rows lie below column k; the rows left over up to rho follow the last
+    column.  Rejects a negative rho, a slope that breaks the coprimality
+    invariant, and more than CROSSING_BUDGET crossings.
     """
     if rho < 0:
         raise ValueError("rho must be non-negative")
@@ -93,21 +95,19 @@ def _crossing_events(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
     return (("d_e", -1, 1),) + tuple(line) + (("d_o", 1, 1),)
 
 
-def crossing_runs(rho: int, beta: int) -> tuple[tuple[str, int, int], ...]:
-    """The crossings of the reference arc of slope 2*rho/(2*beta+1), in
-    order, as maximal runs (dual, sign, count): O(|beta|) runs for the
-    2*|beta| + rho crossings.  Rejects a negative rho, a slope that breaks
-    the coprimality invariant, and more than CROSSING_BUDGET crossings."""
-    return _crossing_events(rho, beta)
+# `bench/tracing.py`'s CACHES reads the cache under this old name; the
+# alias goes when that table is rewritten.
+_crossing_events = crossing_runs
 
 
-def base_layout(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(A, kappa, zetas) read off crossing runs: the signs of the d-crossings,
-    their 1-based positions among all crossings (A-hat), and the s0' sign
-    sums before, between and after them: zeta_0..zeta_{2 tau}."""
+def reference_crossings(rho: int, beta: int) -> tuple[tuple[int, ...], ...]:
+    """(A, kappa, zetas) of the reference arc of slope 2*rho/(2*beta+1):
+    the signs of the d-crossings, their 1-based positions among all
+    crossings (A-hat), and the s0' sign sums before, between and after
+    them: zeta_0..zeta_{2 tau}.  Rejects what :func:`crossing_runs` does."""
     base, kappa, zetas = [], [], []
     position = zeta = 0
-    for dual, sign, count in runs:
+    for dual, sign, count in crossing_runs(rho, beta):
         position += count
         if dual == "s0p":
             zeta += sign * count
@@ -118,12 +118,6 @@ def base_layout(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]
             zeta = 0
     zetas.append(zeta)
     return tuple(base), tuple(kappa), tuple(zetas)
-
-
-def reference_crossings(rho: int, beta: int) -> tuple[tuple[int, ...], ...]:
-    """(A, kappa, zetas) of the reference arc of slope 2*rho/(2*beta+1);
-    rejects (rho, beta) violating the coprimality invariant."""
-    return base_layout(_crossing_events(rho, beta))
 
 
 def alternating(signs: tuple[int, ...], x: Word, y: Word) -> Word:

@@ -248,7 +248,8 @@ class CensusReport(Record):
     span: int
     window: tuple[int, ...]
     inconclusive: tuple[int, ...]
-    nonseparating_type: AnnulusType
+    # the non-separating annulus of every type-K family; see typeK_census
+    nonseparating_type = AnnulusType.T3_3i
 
     @property
     def entries(self) -> tuple[CensusEntry, ...]:
@@ -307,13 +308,15 @@ def typeK_census(params: TypeKParams, span: int) -> CensusReport:
         raise AssertionError("more than four inconclusive separating annuli")
     # positional records here and in classify_typeK_annulus: keywords take
     # Record's slower binding path, once per census
-    return CensusReport(params, span, window, inconclusive, AnnulusType.T3_3i)
+    return CensusReport(params, span, window, inconclusive)
 
 
 # -- the worked 5_2 example --------------------------------------------------
 
-# Boundary words v^n u^(n+1); p only enters through the slope pair, not the
-# words, so any admissible value works here.
+# The sharp-bound example: exactly four inconclusive separating annuli plus
+# the non-separating one attain the bound of five.  Boundary words
+# v^n u^(n+1); p only enters through the slope pair, not the words, so any
+# admissible value works here.
 FIVE_TWO_PARAMS = TypeKParams(p=2, q=1, delta=0, rho=0, beta=0, lam=1, mu=0)
 
 # Types of the four annuli the algebra cannot certify, settled by knot
@@ -325,9 +328,3 @@ FIVE_TWO_KNOWN_TYPES = {
     1: AnnulusType.T3_2i,
     -2: AnnulusType.T3_2i,
 }
-
-
-def five_two_report(span: int) -> CensusReport:
-    """The sharp-bound example: exactly four inconclusive separating annuli
-    plus the non-separating one, attaining the bound of five."""
-    return typeK_census(FIVE_TWO_PARAMS, span)

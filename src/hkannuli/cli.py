@@ -65,7 +65,7 @@ def _cmd_arcs_crossings(args: argparse.Namespace):
     # A-hat and its duals have 2*|beta| + rho entries but O(|beta|) runs
     # (dual, sign, count): they are written as repeated text per run
     runs = arcs.crossing_runs(args.rho, args.beta)
-    base, kappa, zetas = arcs.base_layout(runs)
+    base, kappa, zetas = arcs.reference_crossings(args.rho, args.beta)  # runs: a cache hit
     inputs = {"rho": args.rho, "beta": args.beta}
     if args.json:  # json.dumps writes a tuple as a list
         return (inputs,
@@ -208,7 +208,7 @@ def _cmd_jsj_validate(args: argparse.Namespace):
 
 
 def _cmd_example_five_two(args: argparse.Namespace):
-    report = classify.five_two_report(span=args.range)
+    report = classify.typeK_census(classify.FIVE_TWO_PARAMS, args.range)
     known = sorted(classify.FIVE_TWO_KNOWN_TYPES.items())
     payload = {}
     if args.json:

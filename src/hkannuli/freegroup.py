@@ -30,8 +30,8 @@ Block = tuple[str, int]
 class Word(Record):
     """A freely reduced word, stored as blocks ``(generator, exponent)``.
 
-    Built, compared and hashed by hand, because every word operation builds
-    words; tracers count constructions by wrapping ``__post_init__``."""
+    Built by hand, because every word operation builds words; tracers
+    count constructions by wrapping ``__post_init__``."""
 
     blocks: tuple[Block, ...]
 
@@ -49,14 +49,6 @@ class Word(Record):
             if gen == prev:
                 raise ValueError("adjacent blocks share a generator")
             prev = gen
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
 
     # -- basic queries -------------------------------------------------
 

@@ -81,14 +81,6 @@ class SlopePair(Record):
     def is_trivial(self) -> bool:
         return self.form == "prod" and self.p == 0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SlopePair):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __str__(self) -> str:
         return f"{self.form}:{self.p}/{self.q}"
 
@@ -104,10 +96,6 @@ class Edge(Record):
     def is_loop(self) -> bool:
         return self.a == self.b
 
-    @property
-    def endpoints(self) -> frozenset:
-        return frozenset({self.a, self.b})
-
 
 class JsjGraph(Record):
     nodes: tuple[tuple[str, NodeKind], ...]
@@ -118,7 +106,7 @@ class JsjGraph(Record):
         groups: dict[frozenset, list[Edge]] = {}
         for edge in self.edges:
             if not edge.is_loop:
-                groups.setdefault(edge.endpoints, []).append(edge)
+                groups.setdefault(frozenset((edge.a, edge.b)), []).append(edge)
         return [g for g in groups.values() if len(g) >= 2]
 
 

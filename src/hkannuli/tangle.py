@@ -47,7 +47,7 @@ class ExtendedRational(Record):
     @classmethod
     def of(cls, numerator: int, denominator: int) -> "ExtendedRational":
         if denominator == 0:
-            return cls(1, 0)
+            return INFINITY
         if denominator < 0:
             numerator, denominator = -numerator, -denominator
         g = gcd(abs(numerator), denominator)

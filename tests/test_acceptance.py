@@ -39,7 +39,7 @@ def test_criterion_1_five_two_reproduction():
     inconclusive = [n for n in range(-100, 101)
                     if not classify.classify_typeK_annulus(FIVE_TWO, n).certified]
     assert inconclusive == [-2, -1, 0, 1]
-    report = classify.five_two_report(span=100)
+    report = classify.typeK_census(FIVE_TWO, 100)
     assert report.total_non_certified == 5
     elapsed = time.time() - started
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f}s"
@@ -187,7 +187,7 @@ def test_criterion_11_jsj_validator():
 
     def hub(*edges):
         # s is declared only where an edge meets it, so every graph is connected
-        seifert = (("s", NodeKind.SEIFERT),) if any("s" in e.endpoints for e in edges) else ()
+        seifert = (("s", NodeKind.SEIFERT),) if any("s" in (e.a, e.b) for e in edges) else ()
         return JsjGraph((("x", NodeKind.IFIBERED),) + seifert, tuple(edges))
 
     loop_21 = hub(Edge("a", "x", "x", label=AnnulusType.T2_1))

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 
 from conftest import (ARC_SYMBOLS, ArcCoordinate, arc_word, crossing_duals, expanded_layout,
                       valid_slopes, word_strategy)
-from hkannuli import arcs
-from hkannuli.arcs import (_crossing_events, alternating, base_layout, crossing_runs,
-                           interpolating, reference_crossings)
+from hkannuli.arcs import alternating, crossing_runs, interpolating, reference_crossings
 from hkannuli.freegroup import IDENTITY, concat, format_word, parse_word
 
 W = parse_word
@@ -58,16 +56,16 @@ class TestTypes:
         assert len(pairs) == 3320
         for rho, beta in pairs:
             base, _, kappa, zetas = expanded_layout(rho, beta)
-            assert base_layout(crossing_runs(rho, beta)) == (base, kappa, zetas), (rho, beta)
+            assert reference_crossings(rho, beta) == (base, kappa, zetas), (rho, beta)
 
 
 class TestReferenceCrossings:
     def test_crossing_cache_keeps_one_entry(self):
         # `arcs crossings` reads one (rho, beta); more entries would keep megabytes each
-        arcs._crossing_events.cache_clear()
+        crossing_runs.cache_clear()
         for rho in range(99_001, 99_011, 2):
             reference_crossings(rho, 0)
-        assert arcs._crossing_events.cache_info().currsize <= 1
+        assert crossing_runs.cache_info().currsize <= 1
 
     def test_beta_zero(self):
         for rho in range(0, 8):
@@ -102,7 +100,7 @@ class TestReferenceCrossings:
         pairs = list(valid_slopes(100, 20))
         assert len(pairs) == 3320
         for rho, beta in pairs:
-            runs = _crossing_events(rho, beta)
+            runs = crossing_runs(rho, beta)
             expanded = tuple((dual, sign) for dual, sign, count in runs for _ in range(count))
             assert expanded == sorted_crossings(rho, beta), (rho, beta)
             # maximal runs: a column is one crossing, and no two neighbours share a dual

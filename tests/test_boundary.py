@@ -67,6 +67,8 @@ class TestValidation:
         (dict(p=3, q=2, delta=1, rho=3, beta=1, lam=0, mu=0), "2*beta+1"),
         (dict(p=3, q=2, delta=1, rho=0, beta=0, lam=0, mu=5), "|mu - lambda| <= 1"),
         (dict(p=3, q=2, delta=1, rho=0, beta=-1, lam=0, mu=0), "|mu - lambda + 4| <= 1"),
+        (dict(p=2, q=1, delta=0, rho=-1, beta=0, lam=1, mu=0),
+         "arc-slope: rho must be non-negative"),
     ])
     def test_violations_by_name(self, kwargs, fragment):
         assert any(fragment in v for v in params_violations(**kwargs))

@@ -1,25 +1,34 @@
-"""Every name in ``src/hkannuli`` has a caller.
+"""Every name in ``src/hkannuli`` has a caller, and the package exports
+no module.
 
-A module-level function or class, or a public method or property, must be
-loaded by name in some ``hkannuli`` module other than ``__init__.py``, or be
-named as a word in a ``bench/*.py`` file (the benchmark's tracer names the
-functions it wraps as strings).  A name that only tests reach belongs in the
-tests."""
+A module-level function, class or constant, or a public method or property,
+must be loaded by name in some ``hkannuli`` module other than
+``__init__.py``, or be named as a word in a ``bench/*.py`` file (the
+benchmark's tracer names the functions it wraps as strings).  A name that
+only tests reach belongs in the tests."""
 
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
+
+import hkannuli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hkannuli"
 
 
 def defined_names(tree: ast.Module):
-    """Module-level defs and classes, and the public methods of classes."""
+    """Module-level defs, classes and ``NAME = ...`` constants, and the
+    public methods of classes."""
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, definitions):
             yield node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from (target.id for target in targets if isinstance(target, ast.Name)
+                    and target.id not in ("__all__", "__version__"))
         if isinstance(node, ast.ClassDef):
             yield from (item.name for item in node.body
                         if isinstance(item, definitions) and not item.name.startswith("_"))
@@ -47,3 +56,12 @@ def test_every_src_name_has_a_caller():
                 for name in defined_names(tree)
                 if name not in loaded and name not in bench_words]
     assert uncalled == []
+
+
+def test_public_api_binds_no_module():
+    assert hkannuli.__all__
+    assert [name for name in hkannuli.__all__
+            if isinstance(getattr(hkannuli, name), ModuleType)] == []
+    namespace: dict = {}
+    exec("from hkannuli import *", namespace)
+    assert [name for name, value in namespace.items() if isinstance(value, ModuleType)] == []

@@ -9,8 +9,7 @@ from hkannuli import boundary, classify, freegroup
 from hkannuli.classify import (AnnulusType, CensusEntry, EmGraph, EmParams,
                                ExternalFactError, Verdict, classify_typeK_annulus,
                                classify_typeM, classify_typeS, em_invariants,
-                               em_jsj_graph, five_two_report, non_type41_window,
-                               typeK_census)
+                               em_jsj_graph, non_type41_window, typeK_census)
 from hkannuli.freegroup import cho_koda_criterion, format_word, is_primitive, root
 
 FIVE_TWO = classify.FIVE_TWO_PARAMS
@@ -217,7 +216,7 @@ class TestClosedForm:
 
 class TestCensus:
     def test_five_two_attains_bound(self):
-        report = five_two_report(span=100)
+        report = typeK_census(FIVE_TWO, 100)
         assert report.inconclusive == (-2, -1, 0, 1)
         assert report.total_non_certified == 5
         assert report.nonseparating_type is AnnulusType.T3_3i

@@ -100,6 +100,16 @@ def test_arcs_crossings(capsys):
     assert code == 1 and err == "error: rho must be non-negative\n"
 
 
+def test_arcs_crossings_reads_the_runs_once():
+    # the handler prints A-hat from the runs and A, kappa, zeta from
+    # reference_crossings, which finds the same runs in the cache
+    arcs.crossing_runs.cache_clear()
+    code, _ = workloads.run_in_process(["arcs", "crossings", "--rho", "3", "--beta", "2",
+                                        "--json"])
+    info = arcs.crossing_runs.cache_info()
+    assert (code, info.misses, info.hits) == (0, 1, 1)
+
+
 def test_boundary_word_round_trips(capsys):
     args = ("boundary", "word", "--p", "2", "--q", "1", "--delta", "0",
             "--rho", "0", "--beta", "0", "--lambda", "1", "--mu", "0", "--n", "7")

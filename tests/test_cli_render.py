@@ -101,7 +101,7 @@ def test_five_two_json_matches_reference(capsys):
     for span in spans(classify.non_type41_window(classify.FIVE_TWO_PARAMS)) + [100]:
         assert run(["example", "five-two", "--range", str(span), "--json"]) == 0
         out = capsys.readouterr().out
-        report = classify.five_two_report(span)
+        report = classify.typeK_census(classify.FIVE_TWO_PARAMS, span)
         result = reference_census_payload(report) | {
             "known_types": known, "bound_attained": report.total_non_certified == 5}
         assert out == dumps({"command": "example five-two", "inputs": {"range": span},

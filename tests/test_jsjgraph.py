@@ -217,6 +217,13 @@ class TestLabels:
         rules = rules_of(validate_labels(graph))
         assert "twotwo-shape-law" in rules
 
+    def test_threethree_ii_not_on_bigon(self):
+        graph = hub_graph(Edge("e1", "x", "s", label=AnnulusType.T3_3ii),
+                          Edge("e2", "x", "s", label=AnnulusType.T3_3i),
+                          extra_nodes=("s",))
+        assert validate(graph) == [Violation("bigon-threethree-law", "edge e1"),
+                                   Violation("threethree-ii-shape-law", "edge e1")]
+
     def test_unlabeled_edges_pass(self):
         graph = hub_graph(Edge("a", "x", "x"), Edge("b", "x", "s"),
                           extra_nodes=("s",))

@@ -30,8 +30,7 @@ RECORDS = {
     EmParams: ({"l": 3, "m": 1, "n": 0, "p": 1}, {"n": 2}),
     CensusEntry: ({"n": 5, "outcome": CHO_KODA}, {"n": -5}),
     CensusReport: ({"params": FIVE_TWO, "span": 1, "window": (-2, -1, 0, 1),
-                    "inconclusive": (-1, 0, 1),
-                    "nonseparating_type": AnnulusType.T3_3i}, {"span": 2}),
+                    "inconclusive": (-1, 0, 1)}, {"span": 2}),
     SlopePair: ({"form": "recip", "p": 2, "q": 3}, {"q": 5}),
     Edge: ({"id": "e1", "a": "x", "b": "y", "label": AnnulusType.T2_1, "slope": None},
            {"b": "x"}),
@@ -71,9 +70,9 @@ def test_equal_and_hash_by_class_and_fields(cls):
     assert hash(positional) == hash(keyword)
     assert positional != changed
     assert positional != fields and fields != positional
-    if cls is not SlopePair:  # compares its two slopes, whatever the class
+    if cls is not SlopePair:  # hashes its two slopes, not its fields
         assert hash(positional) == hash(fields)
-        assert positional != type("Sub", (cls,), {})(*fields)
+    assert positional != type("Sub", (cls,), {})(*fields)
 
 
 def test_slope_pair_equality_is_by_slopes():
@@ -135,6 +134,12 @@ def test_post_init_runs_once_per_construction(cls, monkeypatch):
     (SlopePair, {"form": "prod", "p": 1, "q": 2}),
     (ExtendedRational, {"numerator": 2, "denominator": 4}),
     (RationalTangle, {"twists": ()}),
+    # each case below can fail only the check its id names
+    pytest.param(Word, {"blocks": (("w", 1),)}, id="Word-generator"),
+    pytest.param(SlopePair, {"form": "sum", "p": 2, "q": 3}, id="SlopePair-form"),
+    pytest.param(SlopePair, {"form": "recip", "p": 2, "q": 4}, id="SlopePair-lowest-terms"),
+    pytest.param(ExtendedRational, {"numerator": 1, "denominator": -2},
+                 id="ExtendedRational-denominator"),
 ], ids=lambda value: getattr(value, "__name__", ""))
 def test_invalid_fields_rejected_either_way(cls, fields):
     with pytest.raises(ValueError):

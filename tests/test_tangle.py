@@ -71,6 +71,10 @@ class TestCfEval:
         literal = cf_eval(R(-3, 2, 0))
         assert Fraction(literal.numerator, literal.denominator) == Fraction(3, 5)
 
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="^unknown convention 'other'$"):
+            cf_eval(R(1, 2), convention="other")
+
 
 class TestIsIntegral:
     def test_examples(self):
