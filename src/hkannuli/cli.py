@@ -9,6 +9,7 @@ validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator, Sequence
 
@@ -44,9 +45,12 @@ def _list_text(runs: Sequence[tuple], field: int, texts: dict, sep: str,
     yield "]"
 
 
+# The type-K options, in ``TypeKParams`` field order.
+_TYPEK_NAMES = ("p", "q", "delta", "rho", "beta", "lambda", "mu")
+
+
 def _params_from_args(args: argparse.Namespace) -> boundary.TypeKParams:
-    return boundary.validate_params(args.p, args.q, args.delta, args.rho,
-                                    args.beta, getattr(args, "lambda"), args.mu)
+    return boundary.validate_params(*[getattr(args, name) for name in _TYPEK_NAMES])
 
 
 def _cmd_tangle_eval(args: argparse.Namespace):
@@ -87,8 +91,7 @@ _DUALS = {dual: f'"{dual}"' for dual in ("d_e", "d_o", "s0p")}
 
 
 def _params_json(params: boundary.TypeKParams) -> dict:
-    return {"p": params.p, "q": params.q, "delta": params.delta, "rho": params.rho,
-            "beta": params.beta, "lambda": params.lam, "mu": params.mu}
+    return dict(zip(_TYPEK_NAMES, params._astuple()))
 
 
 def _cmd_boundary_word(args: argparse.Namespace):
@@ -101,7 +104,7 @@ def _cmd_boundary_word(args: argparse.Namespace):
 
 
 def _census_payload(report: classify.CensusReport) -> dict:
-    """The --json census; ``per_n``, one record per n, is spliced in as text."""
+    """The --json census; ``per_n``, one record per n, is written as text."""
     return {
         "params": _params_json(report.params),
         "window": list(report.window),
@@ -117,14 +120,11 @@ def _census_payload(report: classify.CensusReport) -> dict:
 
 def _per_n_text(report: classify.CensusReport) -> Iterator[str]:
     """``per_n`` as JSON text.  The at most four window entries go through
-    ``json.dumps``; every other n has the same Cho-Koda record, so each run
+    ``_json_text``; every other n has the same Cho-Koda record, so each run
     of them is one join of the n between that record's two constant halves."""
-    import json
-
     def record(n: int, outcome: classify.ClassificationOutcome) -> str:
-        return json.dumps({"n": n, "verdict": outcome.verdict.value,
-                           "evidence": outcome.evidence},
-                          sort_keys=True, separators=(",", ":"))
+        return "".join(_json_text({"n": n, "verdict": outcome.verdict.value,
+                                   "evidence": outcome.evidence}))
 
     head, tail = record(0, classify.CHO_KODA).split('"n":0')
     head += '"n":'
@@ -239,8 +239,7 @@ def _int(text: str) -> int:
 
 
 _INT = {"type": _int, "required": True}
-_TYPEK = tuple((flag, _INT) for flag in
-               ("--p", "--q", "--delta", "--rho", "--beta", "--lambda", "--mu"))
+_TYPEK = tuple((f"--{name}", _INT) for name in _TYPEK_NAMES)
 
 # group -> (help, {leaf -> (help or None, handler, arguments)}); every leaf
 # also takes --json.
@@ -348,16 +347,10 @@ def _run(args: argparse.Namespace) -> int:
     return 1 if result.get("violations") else 0
 
 
-# Stands in for each text iterator inside the JSON report; only the census
-# and `arcs crossings` have them, and no text of theirs contains "\0".
-_MARK = "\0"
-
-
 def _report_text(args: argparse.Namespace, inputs: dict, result: dict, lines: list,
                  warnings: list) -> Iterator[str]:
-    """The report as pieces of text: the JSON report with each text
-    iterator's pieces spliced in where ``json.dumps`` put its mark, or the
-    lines and then the warnings."""
+    """The report as pieces of text: the JSON report, or the lines and then
+    the warnings."""
     if not args.json:
         for line in lines + [f"warning: {w}" for w in warnings]:
             if isinstance(line, str):
@@ -366,26 +359,35 @@ def _report_text(args: argparse.Namespace, inputs: dict, result: dict, lines: li
                 yield from line
             yield "\n"
         return
-    import json  # here, not at startup: text mode needs none
-
-    spliced = []
-
-    def mark(value):
-        if not isinstance(value, Iterator):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        spliced.append(value)
-        return _MARK
-
-    report = {"command": args.command_name, "inputs": inputs, "result": result,
-              "warnings": warnings}
-    parts = json.dumps(report, sort_keys=True, separators=(",", ":"),
-                       default=mark).split(json.dumps(_MARK))
-    yield parts[0]
-    for pieces, part in zip(spliced, parts[1:], strict=True):
-        yield from pieces
-        yield part
+    yield from _json_text({"command": args.command_name, "inputs": inputs,
+                           "result": result, "warnings": warnings})
     yield "\n"
 
 
+def _json_text(value: object) -> Iterator[str]:
+    """``value`` as JSON text with sorted keys and no spaces, in pieces.  A
+    text iterator, allowed only as a dict value, is written as its pieces."""
+    import json  # here, not at startup: text mode needs none
+
+    if isinstance(value, Iterator):
+        yield from value
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key in sorted(value):
+            yield sep + json.dumps(key) + ":"
+            yield from _json_text(value[key])
+            sep = ","
+        yield "}"
+    else:
+        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # a reader closed stdout; the flush at exit must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: {exc}\n")
+        code = 1
+    raise SystemExit(code)

@@ -3,9 +3,8 @@ no module.
 
 A module-level function, class or constant, or a public method or property,
 must be loaded by name in some ``hkannuli`` module other than
-``__init__.py``, or be named as a word in a ``bench/*.py`` file (the
-benchmark's tracer names the functions it wraps as strings).  A name that
-only tests reach belongs in the tests."""
+``__init__.py``, or be one of ``KEPT_FOR_BENCH``.  A name that only tests
+reach belongs in the tests."""
 
 import ast
 import re
@@ -16,6 +15,13 @@ import hkannuli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hkannuli"
+
+# The names that only the benchmark reaches: its tracer wraps three of them
+# and reads the cache of ``arcs._crossing_events`` by name, and its census
+# workload reads ``CensusReport.entries``.  Each must still be named in
+# ``bench/*.py``, so the set can only shrink.
+KEPT_FOR_BENCH = {"_crossing_events", "alternating", "interpolating", "non_type41_window",
+                  "entries"}
 
 
 def defined_names(tree: ast.Module):
@@ -49,13 +55,13 @@ def test_every_src_name_has_a_caller():
              for path in sorted(PACKAGE.glob("*.py"))}
     loaded = set().union(*(loaded_names(tree) for name, tree in trees.items()
                            if name != "__init__.py"))
+    uncalled = {name for module, tree in trees.items()
+                if module not in ("__init__.py", "__main__.py")
+                for name in defined_names(tree) if name not in loaded}
+    assert uncalled == KEPT_FOR_BENCH
     bench_words = set().union(*(re.findall(r"\w+", path.read_text())
                                 for path in (ROOT / "bench").glob("*.py")))
-    uncalled = [f"{module}:{name}" for module, tree in trees.items()
-                if module not in ("__init__.py", "__main__.py")
-                for name in defined_names(tree)
-                if name not in loaded and name not in bench_words]
-    assert uncalled == []
+    assert KEPT_FOR_BENCH <= bench_words
 
 
 def test_public_api_binds_no_module():

@@ -551,6 +551,50 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+def test_closed_stdout_exits_1_with_one_error_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "hkannuli", "arcs", "crossings",
+                             "--rho", "999999", "--beta", "0", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(10)  # then close the pipe on the other 8 MB
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (head, proc.returncode, err) == (b'{"command"', 1,
+                                            b"error: [Errno 32] Broken pipe\n")
+
+
+# Each --help text and usage error, whitespace collapsed (argparse wraps
+# usage lines differently across Python versions), as argv -> [exit code,
+# stdout, stderr]; the choices of an invalid-choice error are unquoted, as
+# some CPython releases print them with str rather than repr.
+CLI_TEXTS = json.loads((ROOT / "tests" / "cli_texts.json").read_text())
+
+
+def collapsed(text: str) -> str:
+    head, sep, choices = " ".join(text.split()).partition("(choose from ")
+    return head + sep + choices.replace("'", "")
+
+
+def test_cli_texts_cover_every_group_and_leaf():
+    leaves = [f"{group} {leaf}" for group, (_, leaves) in cli._COMMANDS.items()
+              for leaf in leaves]
+    assert list(CLI_TEXTS) == (["--help"] + [f"{group} --help" for group in cli._COMMANDS]
+                               + [f"{leaf} --help" for leaf in leaves]
+                               + [f"{leaf} --bogus" for leaf in leaves] + ["", "nope"])
+
+
+@pytest.mark.parametrize("line", CLI_TEXTS, ids=lambda line: line or "no-arguments")
+def test_help_and_usage_texts(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke_argv(line.split())
+    assert [code, collapsed(out), collapsed(err)] == CLI_TEXTS[line]
+
+
 def readme_blocks() -> list:
     """(language, body) of each fenced block in the README."""
     return re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
@@ -614,3 +658,32 @@ def test_jsj_validate_repeated_attribute(tmp_path, capsys):
     code, out, err = invoke(capsys, "jsj", "validate", str(path))
     assert (code, out) == (1, "")
     assert err == "error: line 3: repeated edge attribute 'label'\n"
+
+
+def test_jsj_validate_json_subject_with_nul(tmp_path, capsys):
+    # the subject 'node "\0' is written as JSON text that contains json.dumps("\0")
+    path = tmp_path / "nul.graph"
+    path.write_text('node x simple\nnode "\0 seifert\n')
+    code, out, err = invoke(capsys, "jsj", "validate", str(path), "--json")
+    assert (code, err, out.count("\n"), out[-1]) == (1, "", 1, "\n")
+    [violation] = json.loads(out)["result"]["violations"]
+    assert violation["subject"] == 'node "\x00'
+
+
+JSON_TEXT = st.text(st.sampled_from('"\\\0a\u00e9\u2028\U0001f600') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_json_dumps(value):
+    assert "".join(cli._json_text(value)) == json.dumps(value, sort_keys=True,
+                                                         separators=(",", ":"))
+
+
+def test_json_text_writes_an_iterator_as_its_pieces():
+    value = {"b": iter(["[1,", '"\\u0000"]']), "a": {"c": iter(["2"]), "d": {}}}
+    assert "".join(cli._json_text(value)) == '{"a":{"c":2,"d":{}},"b":[1,"\\u0000"]}'
