@@ -38,6 +38,8 @@ from .freegroup import U, V, Word, concat, generator
 # `boundary word` prints all of them.
 BETA_BUDGET = 100_000
 
+_U_INVERSE = U.inverse()  # built once: a census with beta < 0 builds no word
+
 
 class ParamError(ValueError):
     """Raised with the list of violated invariants, by name."""
@@ -119,7 +121,7 @@ def _alternating_pair(q: int, beta: int) -> tuple[Word, Word]:
         front = concat(vq, U) ** beta
         return front, front.inverse()
     core = concat(vq, U) ** (-beta - 1)
-    return concat(U.inverse(), core, vq), concat(vq, core.inverse(), U.inverse())
+    return concat(_U_INVERSE, core, vq), concat(vq, core.inverse(), _U_INVERSE)
 
 
 def boundary_word(params: TypeKParams, n: int) -> Word:
@@ -146,5 +148,5 @@ def normalize_negative_beta(params: TypeKParams) -> tuple[TypeKParams, Word]:
     # exactly when beta = -1, where mu' - lambda' = mu - lambda + 4
     normalized = TypeKParams(params.p, params.q, params.delta, params.rho,
                              -params.beta - 1, params.lam - 2, params.mu + 2)
-    return normalized, U.inverse()
+    return normalized, _U_INVERSE
 

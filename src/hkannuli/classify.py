@@ -263,7 +263,7 @@ class CensusReport(Record):
         """One entry per window n inside the span, built on every read: an
         inconclusive n's word is built for its witness root, O(|beta|) each;
         every other n reads the shared Cho-Koda outcome."""
-        # a list, not a generator: see Word.exponents
+        # a list, not a generator: see Word.inverse
         return tuple([CensusEntry(n, classify_typeK_annulus(self.params, n)
                                   if n in self.inconclusive else CHO_KODA)
                       for n in self.window if -self.span <= n <= self.span])

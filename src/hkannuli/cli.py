@@ -18,8 +18,8 @@ from .boundary import ParamError
 from .freegroup import (are_conjugate, check_digit_budget, excerpt, format_word,
                         is_power_of_primitive, is_primitive, parse_word)
 
-# Each handler returns (inputs, result, text lines, warnings); ``run``
-# builds the report from them and writes it as JSON or as the lines.  A
+# Each handler returns (inputs, result, text lines, warnings); ``_run``
+# writes the report as one JSON line, or the lines and then the warnings.  A
 # result value or a line that is long but regular is an iterator of its
 # text's pieces, written as they come, so memory follows the output rather
 # than its length.
@@ -103,10 +103,13 @@ def _cmd_boundary_word(args: argparse.Namespace):
             [text], [])
 
 
-def _census_payload(report: classify.CensusReport) -> dict:
-    """The --json census; ``per_n``, one record per n, is written as text."""
-    return {
-        "params": _params_json(report.params),
+def _census(args: argparse.Namespace, params: boundary.TypeKParams):
+    """The census over ``--range``: the report, the --json payload (empty
+    in text mode; ``per_n``, one record per n, is written as text) and the
+    first two text lines."""
+    report = classify.typeK_census(params, args.range)
+    payload = {
+        "params": _params_json(params),
         "window": list(report.window),
         "per_n": _per_n_text(report),
         "totals": {
@@ -115,7 +118,9 @@ def _census_payload(report: classify.CensusReport) -> dict:
             "nonseparating_type": report.nonseparating_type.value,
             "non_certified_total": report.total_non_certified,
         },
-    }
+    } if args.json else {}
+    return report, payload, [f"window: {list(report.window)}",
+                             f"inconclusive separating n: {list(report.inconclusive)}"]
 
 
 def _per_n_text(report: classify.CensusReport) -> Iterator[str]:
@@ -145,14 +150,12 @@ def _per_n_text(report: classify.CensusReport) -> Iterator[str]:
 
 
 def _cmd_classify_typek(args: argparse.Namespace):
-    report = classify.typeK_census(_params_from_args(args), args.range)
-    return (_params_json(report.params) | {"range": args.range},
-            _census_payload(report) if args.json else {},
-            [f"window: {list(report.window)}",
-             f"inconclusive separating n: {list(report.inconclusive)}",
-             f"certified type 4-1: {report.certified_count} of {2 * args.range + 1}",
-             f"non-certified total (incl. non-separating "
-             f"{report.nonseparating_type.value}): {report.total_non_certified}"], [])
+    params = _params_from_args(args)
+    report, payload, lines = _census(args, params)
+    return (_params_json(params) | {"range": args.range}, payload,
+            lines + [f"certified type 4-1: {report.certified_count} of {2 * args.range + 1}",
+                     f"non-certified total (incl. non-separating "
+                     f"{report.nonseparating_type.value}): {report.total_non_certified}"], [])
 
 
 def _cmd_classify_typem(args: argparse.Namespace):
@@ -208,19 +211,16 @@ def _cmd_jsj_validate(args: argparse.Namespace):
 
 
 def _cmd_example_five_two(args: argparse.Namespace):
-    report = classify.typeK_census(classify.FIVE_TWO_PARAMS, args.range)
+    report, payload, lines = _census(args, classify.FIVE_TWO_PARAMS)
     known = sorted(classify.FIVE_TWO_KNOWN_TYPES.items())
-    payload = {}
+    attained = report.total_non_certified == 5
     if args.json:
-        payload = _census_payload(report)
         payload["known_types"] = {str(n): t.value for n, t in known}
-        payload["bound_attained"] = report.total_non_certified == 5
+        payload["bound_attained"] = attained
     return ({"range": args.range}, payload,
-            [f"window: {list(report.window)}",
-             f"inconclusive separating n: {list(report.inconclusive)}",
-             "known types: " + ", ".join(f"n={n}: {t.value}" for n, t in known),
-             f"non-certified total: {report.total_non_certified} (sharp bound "
-             f"attained: {str(report.total_non_certified == 5).lower()})"], [])
+            lines + ["known types: " + ", ".join(f"n={n}: {t.value}" for n, t in known),
+                     f"non-certified total: {report.total_non_certified} (sharp bound "
+                     f"attained: {str(attained).lower()})"], [])
 
 
 # -- parser ------------------------------------------------------------------
@@ -298,7 +298,8 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every group, and the leaves of each group whose name is a token of argv."""
     parser = _Parser(
         prog="hkannuli",
         description="Annulus classification calculus for genus-two handlebody-knots")
@@ -306,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     for group, (group_help, leaves) in _COMMANDS.items():
         sub = top.add_parser(group, help=group_help).add_subparsers(
             dest=f"{group}_op", required=True)
+        if group not in argv:
+            continue
         for name, (leaf_help, handler, arguments) in leaves.items():
             # any help= entry, even None, lists the leaf in its group's --help
             leaf = sub.add_parser(name, **({"help": leaf_help} if leaf_help else {}))
@@ -324,10 +327,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     conversion limit is lifted while this runs: what is printed must not
     depend on PYTHONINTMAXSTRDIGITS.
     """
+    argv = sys.argv[1:] if argv is None else argv
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(build_parser(argv).parse_args(argv))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -342,26 +346,15 @@ def _run(args: argparse.Namespace) -> int:
             message = f"[Errno {exc.errno}] {exc.strerror}: {excerpt(exc.filename)}"
         sys.stderr.write(f"error: {prefix}{message}\n")
         return 1
-    for piece in _report_text(args, inputs, result, lines, warnings):
-        sys.stdout.write(piece)
+    if args.json:
+        lines = [_json_text({"command": args.command_name, "inputs": inputs,
+                             "result": result, "warnings": warnings})]
+    else:
+        lines = lines + [f"warning: {w}" for w in warnings]
+    for line in lines:
+        sys.stdout.writelines([line] if isinstance(line, str) else line)
+        sys.stdout.write("\n")
     return 1 if result.get("violations") else 0
-
-
-def _report_text(args: argparse.Namespace, inputs: dict, result: dict, lines: list,
-                 warnings: list) -> Iterator[str]:
-    """The report as pieces of text: the JSON report, or the lines and then
-    the warnings."""
-    if not args.json:
-        for line in lines + [f"warning: {w}" for w in warnings]:
-            if isinstance(line, str):
-                yield line
-            else:
-                yield from line
-            yield "\n"
-        return
-    yield from _json_text({"command": args.command_name, "inputs": inputs,
-                           "result": result, "warnings": warnings})
-    yield "\n"
 
 
 def _json_text(value: object) -> Iterator[str]:
@@ -384,8 +377,10 @@ def _json_text(value: object) -> Iterator[str]:
 
 def main() -> None:
     try:
-        code = run()
-        sys.stdout.flush()
+        try:
+            code = run()
+        finally:  # also after argparse's --help, which exits by SystemExit
+            sys.stdout.flush()
     except BrokenPipeError as exc:  # a reader closed stdout; the flush at exit must not fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")

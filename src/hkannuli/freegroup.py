@@ -60,11 +60,6 @@ class Word(Record):
         """Letter length: the sum of absolute exponents."""
         return sum(abs(exp) for _, exp in self.blocks)
 
-    def exponents(self, gen: str) -> tuple[int, ...]:
-        # a list, not a generator, here and in inverse: tuple() resizes a
-        # generator's tuple with realloc, past the free lists it is freed onto
-        return tuple([exp for g, exp in self.blocks if g == gen])
-
     def abelianization(self) -> tuple[int, int]:
         """Exponent sums ``(u-total, v-total)``."""
         totals = {"u": 0, "v": 0}
@@ -75,6 +70,8 @@ class Word(Record):
     # -- group operations ----------------------------------------------
 
     def inverse(self) -> "Word":
+        # a list, not a generator: tuple() resizes a generator's tuple with
+        # realloc, past the free lists it is freed onto
         return Word(tuple([(gen, -exp) for gen, exp in reversed(self.blocks)]))
 
     def __pow__(self, n: int) -> "Word":
@@ -252,13 +249,14 @@ def cho_koda_criterion(w: Word) -> bool:
     rotation-, conjugation- and inversion-invariant.  ``False`` is
     inconclusive.  Words in one generator (and the identity) return False.
     """
-    core, _ = cyclic_reduce(w)
-    u_exps = core.exponents("u")
-    v_exps = core.exponents("v")
-    if not u_exps or not v_exps:
+    # the core's blocks alternate: its even and odd blocks carry one generator each
+    blocks = cyclic_reduce(w)[0].blocks
+    first = [exp for _, exp in blocks[::2]]
+    second = [exp for _, exp in blocks[1::2]]
+    if not second:
         return False
-    varied = len(set(u_exps)) > 1 and len(set(v_exps)) > 1
-    squares = any(abs(e) > 1 for e in u_exps) and any(abs(e) > 1 for e in v_exps)
+    varied = len(set(first)) > 1 and len(set(second)) > 1
+    squares = any(abs(e) > 1 for e in first) and any(abs(e) > 1 for e in second)
     return varied or squares
 
 

@@ -176,6 +176,23 @@ class TestClosedForm:
                 assert report.inconclusive == in_span, (params, span)
                 assert report.certified_count == 2 * span + 1 - len(in_span)
 
+    @pytest.mark.parametrize("beta", [-100_000, -5, -1, 0, 3, 100_000])
+    def test_census_constructs_no_word(self, monkeypatch, beta):
+        """Not even the conjugator of the beta < 0 rewriting: a census at the
+        span budget constructs no Word at any beta."""
+        # rho = 1 is a valid arc slope at every beta
+        params = boundary.validate_params(3, 2, 1, 1, beta, 0, -4 if beta == -1 else 0)
+        built = []
+        post_init = freegroup.Word.__post_init__
+
+        def counted(word):
+            built.append(word.blocks)
+            post_init(word)
+
+        monkeypatch.setattr(freegroup.Word, "__post_init__", counted)
+        typeK_census(params, classify.SPAN_BUDGET)
+        assert built == []
+
     def test_window_entries_witness_only_inconclusive(self, monkeypatch):
         calls = []
         per_n = classify.classify_typeK_annulus

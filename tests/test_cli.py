@@ -357,10 +357,26 @@ sys.exit(code)
 """
 
 
+# Without site, writes to stdout the modules ``import hkannuli.cli`` adds to
+# the ones ``import argparse`` has loaded.
+_STARTUP_MODULES = """
+import sys, argparse
+before = set(sys.modules)
+import hkannuli.cli
+sys.stdout.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_cli_imports_only_what_it_uses(json_flag):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    startup = subprocess.run([sys.executable, "-S", "-c", _STARTUP_MODULES],
+                             capture_output=True, text=True, env=env, timeout=60, check=True)
+    package = {f"hkannuli.{path.stem}" for path in (ROOT / "src" / "hkannuli").glob("*.py")
+               if path.stem not in ("__init__", "__main__")}
+    assert set(startup.stdout.split()) == package | {"hkannuli", "__future__",
+                                                     "collections.abc", "math"}
     proc = subprocess.run([sys.executable, "-c", _ADDED_MODULES, "classify", "type-m",
                            "--p", "2", *json_flag],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -566,6 +582,18 @@ def test_closed_stdout_exits_1_with_one_error_line():
         proc.wait()
     assert (head, proc.returncode, err) == (b'{"command"', 1,
                                             b"error: [Errno 32] Broken pipe\n")
+    # a help text fits in the buffer, so only the flush before exit meets
+    # the closed pipe; unbuffered, argparse would swallow the write error
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["--help"], ["classify", "type-k", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hkannuli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n"), argv
 
 
 # Each --help text and usage error, whitespace collapsed (argparse wraps

@@ -112,7 +112,7 @@ def test_arcs_crossings_matches_reference(capsys):
     pairs = valid_slopes(40, 8)
     assert (0, 0) in pairs and (0, -1) in pairs and len(pairs) == 552
     pairs += [(1, 4500), (2, -4500)]  # more runs than a batch of 4096
-    parser = cli.build_parser()  # built once: `run` builds it per call
+    parser = cli.build_parser(["arcs"])  # built once: `run` builds it per call
     for rho, beta in pairs:
         for as_json in (False, True):
             argv = ["arcs", "crossings", "--rho", str(rho), "--beta", str(beta)]
